@@ -10,11 +10,11 @@
 // completeness tracking.
 //
 //   bench_fig2_naive_relocation [runs] [threads]
-#include <cstdlib>
 #include <iomanip>
 #include <iostream>
 #include <sstream>
 
+#include "bench/bench_args.hpp"
 #include "src/scenario/sweep.hpp"
 
 using namespace rebeca;
@@ -82,10 +82,11 @@ void report_row(const char* label, const scenario::SweepResult& r) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  const bench::BenchArgs args(argc, argv, "[runs] [threads]", 2);
   scenario::SweepConfig cfg;
   cfg.base_seed = 17;
-  cfg.runs = argc > 1 ? static_cast<std::size_t>(std::atol(argv[1])) : 5;
-  cfg.threads = argc > 2 ? static_cast<std::size_t>(std::atol(argv[2])) : 0;
+  cfg.runs = args.count(0, 5);     // seeds per data point
+  cfg.threads = args.count(1, 0);  // 0: one per core
 
   std::cout << "Fig. 2: naive relocation loses and duplicates notifications\n"
             << "(100 notifications/s; client roams broker 3 -> broker 1;\n"

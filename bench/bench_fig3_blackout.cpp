@@ -13,12 +13,12 @@
 // blackout is measured per run by a sweep probe.
 //
 //   bench_fig3_blackout [runs] [threads]
-#include <cstdlib>
 #include <iomanip>
 #include <iostream>
 #include <limits>
 #include <sstream>
 
+#include "bench/bench_args.hpp"
 #include "src/scenario/sweep.hpp"
 
 using namespace rebeca;
@@ -78,10 +78,11 @@ std::string cell(const scenario::SweepResult& r) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  const bench::BenchArgs args(argc, argv, "[runs] [threads]", 2);
   scenario::SweepConfig cfg;
   cfg.base_seed = 5;
-  cfg.runs = argc > 1 ? static_cast<std::size_t>(std::atol(argv[1])) : 5;
-  cfg.threads = argc > 2 ? static_cast<std::size_t>(std::atol(argv[2])) : 0;
+  cfg.runs = args.count(0, 5);     // seeds per data point
+  cfg.threads = args.count(1, 0);  // 0: one per core
 
   std::cout << "Fig. 3: blackout after subscribing (5 ms mean broker hops, "
                "1 ms client links;\nmean ± 95% CI over "

@@ -9,13 +9,13 @@
 // mean ± 95% CI over stochastic seeds, matching fig2/fig3.
 //
 //   bench_fig4_epoch_qos [runs] [threads]
-#include <cstdlib>
 #include <iomanip>
 #include <iostream>
 #include <map>
 #include <set>
 #include <sstream>
 
+#include "bench/bench_args.hpp"
 #include "src/scenario/sweep.hpp"
 
 using namespace rebeca;
@@ -100,10 +100,11 @@ std::string cell(const scenario::SweepResult& r, const char* metric) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  const bench::BenchArgs args(argc, argv, "[runs] [threads]", 2);
   scenario::SweepConfig cfg;
   cfg.base_seed = 3;
-  cfg.runs = argc > 1 ? static_cast<std::size_t>(std::atol(argv[1])) : 5;
-  cfg.threads = argc > 2 ? static_cast<std::size_t>(std::atol(argv[2])) : 0;
+  cfg.runs = args.count(0, 5);     // seeds per data point
+  cfg.threads = args.count(1, 0);  // 0: one per core
 
   std::cout << "Fig. 4: epoch QoS — location-dependent delivery vs. the "
                "flooding reference walking the identical route\n(mean ± 95% CI "

@@ -13,13 +13,13 @@
 // protocol's headline guarantee.
 //
 //   bench_fig5_relocation_trace [runs] [threads]
-#include <cstdlib>
 #include <iomanip>
 #include <iostream>
 #include <map>
 #include <memory>
 #include <sstream>
 
+#include "bench/bench_args.hpp"
 #include "src/scenario/sweep.hpp"
 
 using namespace rebeca;
@@ -104,10 +104,11 @@ void report_row(const char* label, const scenario::SweepResult& r) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  const bench::BenchArgs args(argc, argv, "[runs] [threads]", 2);
   scenario::SweepConfig cfg;
   cfg.base_seed = 3;
-  cfg.runs = argc > 1 ? static_cast<std::size_t>(std::atol(argv[1])) : 8;
-  cfg.threads = argc > 2 ? static_cast<std::size_t>(std::atol(argv[2])) : 0;
+  cfg.runs = args.count(0, 8);     // seeds per data point
+  cfg.threads = args.count(1, 0);  // 0: one per core
 
   std::cout << "Fig. 5: relocation walkthrough (junction at broker 1; "
                "mean ± 95% CI over " << cfg.runs

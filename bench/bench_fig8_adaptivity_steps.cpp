@@ -15,13 +15,13 @@
 // fig2–fig5.
 //
 //   bench_fig8_adaptivity_steps [runs] [threads]
-#include <cstdlib>
 #include <iomanip>
 #include <iostream>
 #include <map>
 #include <string>
 #include <vector>
 
+#include "bench/bench_args.hpp"
 #include "src/location/profile.hpp"
 #include "src/scenario/sweep.hpp"
 
@@ -92,6 +92,10 @@ std::string cell(const scenario::SweepResult& r, const std::string& metric) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  const bench::BenchArgs args(argc, argv, "[runs] [threads]", 2);
+  const std::size_t runs = args.count(0, 6);     // seeds per data point
+  const std::size_t threads = args.count(1, 0);  // 0: one per core
+
   // ---- part 1: the paper's analytic timeline ----
   const sim::Duration delta = sim::millis(100);
   const std::vector<sim::Duration> deltas = {sim::millis(120), sim::millis(50),
@@ -123,8 +127,8 @@ int main(int argc, char** argv) {
   // ---- part 2: simulation cross-check, swept over stochastic seeds ----
   scenario::SweepConfig cfg;
   cfg.base_seed = 3;
-  cfg.runs = argc > 1 ? static_cast<std::size_t>(std::atol(argv[1])) : 6;
-  cfg.threads = argc > 2 ? static_cast<std::size_t>(std::atol(argv[2])) : 0;
+  cfg.runs = runs;
+  cfg.threads = threads;
 
   // A fast walker: residence of the same order as the hop bound, so the
   // cumulative bounds cross Δ multiples within the chain and the

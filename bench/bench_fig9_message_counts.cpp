@@ -16,13 +16,12 @@
 //
 //   bench_fig9_message_counts [runs] [threads] [--csv-series]
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 #include <iomanip>
 #include <iostream>
 #include <string>
 #include <vector>
 
+#include "bench/bench_args.hpp"
 #include "src/analysis/fig9_model.hpp"
 #include "src/scenario/sweep.hpp"
 
@@ -112,8 +111,11 @@ std::string total_at(const scenario::SweepResult& r, std::size_t k) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool csv_series =
-      argc > 1 && std::strcmp(argv[argc - 1], "--csv-series") == 0;
+  const bench::BenchArgs args(argc, argv, "[runs] [threads] [--csv-series]", 2,
+                              {"--csv-series"});
+  const std::size_t runs = args.count(0, 4);     // seeds per data point
+  const std::size_t threads = args.count(1, 0);  // 0: one per core
+  const bool csv_series = args.flag("--csv-series");
 
   std::cout << "Fig. 9: total messages — flooding vs. the new algorithm\n\n";
 
@@ -152,12 +154,8 @@ int main(int argc, char** argv) {
   // ---- part 2: swept simulator curves at reduced scale ----
   scenario::SweepConfig cfg;
   cfg.base_seed = 11;
-  cfg.runs = argc > 1 && argv[1][0] != '-'
-                 ? static_cast<std::size_t>(std::atol(argv[1]))
-                 : 4;
-  cfg.threads = argc > 2 && argv[2][0] != '-'
-                    ? static_cast<std::size_t>(std::atol(argv[2]))
-                    : 0;
+  cfg.runs = runs;
+  cfg.threads = threads;
 
   struct Curve {
     const char* name;

@@ -4,12 +4,14 @@
 // (paper Sec. 2.2); these numbers say what that atom costs.
 #include <benchmark/benchmark.h>
 
+#include <set>
 #include <vector>
 
 #include "src/filter/filter.hpp"
 #include "src/location/location_graph.hpp"
 #include "src/routing/match_index.hpp"
 #include "src/util/rng.hpp"
+#include "src/util/str_cat.hpp"
 
 using namespace rebeca;
 
@@ -77,7 +79,7 @@ BENCHMARK(BM_FilterMerge);
 void BM_InSetMatch(benchmark::State& state) {
   std::set<filter::Value> values;
   for (int i = 0; i < state.range(0); ++i) {
-    values.insert(filter::Value("loc" + std::to_string(i)));
+    values.insert(filter::Value(util::str_cat("loc", i)));
   }
   const auto c = filter::Constraint::in_set(std::move(values));
   const filter::Value probe("loc" + std::to_string(state.range(0) / 2));
@@ -138,7 +140,7 @@ std::vector<filter::Filter> make_hop_filters(std::size_t n) {
     f.where("service", filter::Constraint::eq("quote"));
     switch (i % 4) {
       case 0:
-        f.where("sym", filter::Constraint::eq("S" + std::to_string(i)));
+        f.where("sym", filter::Constraint::eq(util::str_cat("S", i)));
         break;
       case 1:
         f.where("px", filter::Constraint::lt(static_cast<int>(100 + i)));
@@ -150,8 +152,8 @@ std::vector<filter::Filter> make_hop_filters(std::size_t n) {
         break;
       default:
         f.where("venue", filter::Constraint::in_set(
-                             {filter::Value("X" + std::to_string(i % 8)),
-                              filter::Value("Y" + std::to_string(i % 8))}));
+                             {filter::Value(util::str_cat("X", i % 8)),
+                              filter::Value(util::str_cat("Y", i % 8))}));
         break;
     }
     filters.push_back(std::move(f));
@@ -197,6 +199,67 @@ void BM_HopMatchIndex(benchmark::State& state) {
                           state.range(0));
 }
 BENCHMARK(BM_HopMatchIndex)->Arg(64)->Arg(256)->Arg(1024)->Arg(4096);
+
+// The same hop decision over a logical-mobility population: every filter
+// is an in_set of 8-64 locations (a ploc ball turned into a set at this
+// hop), so the linear path scans set members and the index answers each
+// probe from its equality postings.
+std::vector<filter::Filter> make_in_set_hop_filters(std::size_t n) {
+  util::Rng rng(12);
+  std::vector<filter::Filter> filters;
+  filters.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    std::set<filter::Value> ball;
+    const std::size_t size = 8 + rng.index(57);
+    while (ball.size() < size) {
+      ball.insert(filter::Value(util::str_cat("L", rng.index(256))));
+    }
+    filter::Filter f;
+    f.where("service", filter::Constraint::eq("parking"));
+    f.where("location", filter::Constraint::in_set(std::move(ball)));
+    filters.push_back(std::move(f));
+  }
+  return filters;
+}
+
+filter::Notification in_set_hop_probe() {
+  return filter::Notification()
+      .set("service", "parking")
+      .set("location", "L17")
+      .set("ts", 123456);
+}
+
+void BM_HopMatchInSetLinear(benchmark::State& state) {
+  const auto filters =
+      make_in_set_hop_filters(static_cast<std::size_t>(state.range(0)));
+  const auto n = in_set_hop_probe();
+  for (auto _ : state) {
+    std::size_t hits = 0;
+    for (const auto& f : filters) hits += f.matches(n) ? 1 : 0;
+    benchmark::DoNotOptimize(hits);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_HopMatchInSetLinear)->Arg(64)->Arg(1024);
+
+void BM_HopMatchInSetIndex(benchmark::State& state) {
+  const auto filters =
+      make_in_set_hop_filters(static_cast<std::size_t>(state.range(0)));
+  routing::MatchIndex index;
+  for (std::size_t i = 0; i < filters.size(); ++i) {
+    index.add_remote(LinkId(static_cast<std::uint32_t>(i % 4)), filters[i]);
+  }
+  const auto n = in_set_hop_probe();
+  routing::MatchHits hits;
+  for (auto _ : state) {
+    index.collect(n, hits);
+    benchmark::DoNotOptimize(hits.links.size());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_HopMatchInSetIndex)->Arg(64)->Arg(1024);
 
 }  // namespace
 

@@ -13,6 +13,7 @@
 #include "src/routing/cover_index.hpp"
 #include "src/routing/match_index.hpp"
 #include "src/routing/strategy.hpp"
+#include "src/util/str_cat.hpp"
 
 using namespace rebeca;
 
@@ -28,7 +29,7 @@ std::vector<routing::ForwardInput> make_inputs(std::size_t n) {
         f.where("px", filter::Constraint::lt(static_cast<int>(100 + i)));
         break;
       case 1:
-        f.where("sym", filter::Constraint::eq("S" + std::to_string(i % 16)));
+        f.where("sym", filter::Constraint::eq(util::str_cat("S", i % 16)));
         break;
       default:
         f.where("px", filter::Constraint::range(
@@ -230,7 +231,7 @@ void BM_PublishThroughChain(benchmark::State& state) {
     consumers.push_back(std::make_unique<client::Client>(sim, cc));
     overlay.connect_client(*consumers.back(), i % 8);
     filter::Filter f;
-    f.where("sym", filter::Constraint::eq("S" + std::to_string(i % 4)));
+    f.where("sym", filter::Constraint::eq(util::str_cat("S", i % 4)));
     consumers.back()->subscribe(std::move(f));
   }
   client::ClientConfig pc;
@@ -242,7 +243,7 @@ void BM_PublishThroughChain(benchmark::State& state) {
   int i = 0;
   for (auto _ : state) {
     producer.publish(
-        filter::Notification().set("sym", "S" + std::to_string(i++ % 4)));
+        filter::Notification().set("sym", util::str_cat("S", i++ % 4)));
     sim.run_until(sim.now() + sim::millis(100));
   }
 }

@@ -10,9 +10,11 @@
 #include <iostream>
 #include <memory>
 
+#include "bench/bench_args.hpp"
 #include "src/broker/overlay.hpp"
 #include "src/client/client.hpp"
 #include "src/net/topology.hpp"
+#include "src/util/str_cat.hpp"
 
 using namespace rebeca;
 
@@ -56,10 +58,10 @@ Result run(bool presubscribe, double widen_ms, double step_ms) {
   Result r;
   for (int i = 1; i <= 10; ++i) {
     sim.run_until(sim.now() + sim::millis(step_ms));
-    user.move_to("l" + std::to_string(i));
+    user.move_to(util::str_cat("l", i));
     producer.publish(filter::Notification()
                          .set("service", "s")
-                         .set("location", "l" + std::to_string(i)));
+                         .set("location", util::str_cat("l", i)));
     ++r.events_offline;
   }
   sim.run_until(sim.now() + sim::millis(200));
@@ -81,7 +83,8 @@ Result run(bool presubscribe, double widen_ms, double step_ms) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  const bench::BenchArgs args(argc, argv, "", 0);
   std::cout << "A6: pre-subscribe widening — offline-event recovery\n"
             << "(consumer walks 10 locations while disconnected; producer "
                "publishes at its position)\n\n";

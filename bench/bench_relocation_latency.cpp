@@ -9,12 +9,12 @@
 // probe.
 //
 //   bench_relocation_latency [runs] [threads]
-#include <cstdlib>
 #include <iomanip>
 #include <iostream>
 #include <limits>
 #include <sstream>
 
+#include "bench/bench_args.hpp"
 #include "src/scenario/sweep.hpp"
 
 using namespace rebeca;
@@ -72,10 +72,11 @@ scenario::ScenarioSweep::Probe latency_probe(double gap_sec) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  const bench::BenchArgs args(argc, argv, "[runs] [threads]", 2);
   scenario::SweepConfig cfg;
   cfg.base_seed = 7;
-  cfg.runs = argc > 1 ? static_cast<std::size_t>(std::atol(argv[1])) : 5;
-  cfg.threads = argc > 2 ? static_cast<std::size_t>(std::atol(argv[2])) : 0;
+  cfg.runs = args.count(0, 5);     // seeds per data point
+  cfg.threads = args.count(1, 0);  // 0: one per core
 
   std::cout << "A2: relocation responsiveness vs. topology depth and "
                "disconnection gap\n(50 notifications/s backlog; client moves "

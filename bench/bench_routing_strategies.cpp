@@ -10,7 +10,9 @@
 #include <iostream>
 #include <string>
 
+#include "bench/bench_args.hpp"
 #include "src/scenario/scenario.hpp"
+#include "src/util/str_cat.hpp"
 
 using namespace rebeca;
 
@@ -37,7 +39,7 @@ filter::Filter consumer_filter(std::size_t i) {
       f.where("px", filter::Constraint::lt(static_cast<int>(10 + i)));
       break;
     case 2:  // mergeable siblings
-      f.where("sym", filter::Constraint::eq("A" + std::to_string(i % 8)));
+      f.where("sym", filter::Constraint::eq(util::str_cat("A", i % 8)));
       break;
     default:  // range, partially overlapping
       f.where("px", filter::Constraint::range(filter::Value(static_cast<int>(i)),
@@ -55,7 +57,7 @@ Result run(routing::Strategy strategy, std::size_t consumers) {
 
   // Consumers at leaves.
   for (std::size_t i = 0; i < consumers; ++i) {
-    b.client("consumer" + std::to_string(i))
+    b.client(util::str_cat("consumer", i))
         .with_id(static_cast<std::uint32_t>(i + 1))
         .at_broker(4 + (i % 9))
         .subscribes(consumer_filter(i));
@@ -69,7 +71,7 @@ Result run(routing::Strategy strategy, std::size_t consumers) {
       s.client("producer")
           .publish(filter::Notification()
                        .set("service", "quote")
-                       .set("sym", "A" + std::to_string(i % 8))
+                       .set("sym", util::str_cat("A", i % 8))
                        .set("px", i * 13 % 300));
     }
   });
@@ -91,7 +93,8 @@ Result run(routing::Strategy strategy, std::size_t consumers) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  const bench::BenchArgs args(argc, argv, "", 0);
   std::cout << "A1: routing strategies — table sizes and admin traffic\n"
             << "(13-broker tree, overlapping subscriptions; paper Sec. 2.2)\n\n";
   std::cout << std::left << std::setw(12) << "strategy" << std::setw(12)

@@ -10,11 +10,11 @@
 //
 //   bench_sharded_scaling [runs] [traffic_seconds]
 #include <chrono>
-#include <cstdlib>
 #include <iomanip>
 #include <iostream>
 #include <string>
 
+#include "bench/bench_args.hpp"
 #include "src/scenario/sweep.hpp"
 
 using namespace rebeca;
@@ -81,11 +81,11 @@ Timed run(const scenario::ScenarioSweep& sweep, scenario::SweepConfig cfg,
 }  // namespace
 
 int main(int argc, char** argv) {
+  const bench::BenchArgs args(argc, argv, "[runs] [traffic_seconds]", 2);
   scenario::SweepConfig cfg;
   cfg.base_seed = 7;
-  cfg.runs = argc > 1 ? static_cast<std::size_t>(std::atol(argv[1])) : 2;
-  const double traffic =
-      argc > 2 ? std::atof(argv[2]) : 8.0;  // virtual seconds of load
+  cfg.runs = args.count(0, 2);
+  const double traffic = args.real(1, 8.0);  // virtual seconds of load
   cfg.threads = 1;  // serialize runs: the bench isolates intra-run scaling
 
   scenario::ScenarioSweep sweep(declare(traffic));

@@ -7,9 +7,11 @@
 #include <iostream>
 #include <set>
 
+#include "bench/bench_args.hpp"
 #include "src/broker/overlay.hpp"
 #include "src/client/client.hpp"
 #include "src/net/topology.hpp"
+#include "src/util/str_cat.hpp"
 
 using namespace rebeca;
 
@@ -48,13 +50,13 @@ std::size_t run(const location::UncertaintyProfile& profile, double delta_ms,
   // client's upcoming location just before each arrival.
   for (int i = 1; i < 25; ++i) {
     sim.schedule_at(sim::seconds(1) + sim::millis(delta_ms * i),
-                    [&consumer, i] { consumer.move_to("l" + std::to_string(i)); });
+                    [&consumer, i] { consumer.move_to(util::str_cat("l", i)); });
     sim.schedule_at(sim::seconds(1) + sim::millis(delta_ms * i + delta_ms * 0.5),
                     [&producer, i] {
                       producer.publish(filter::Notification()
                                            .set("service", "s")
                                            .set("location",
-                                                "l" + std::to_string(i)));
+                                                util::str_cat("l", i)));
                     });
   }
   sim.run_until(sim::seconds(1) + sim::millis(delta_ms * 30) + sim::seconds(3));
@@ -63,7 +65,8 @@ std::size_t run(const location::UncertaintyProfile& profile, double delta_ms,
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  const bench::BenchArgs args(argc, argv, "", 0);
   std::cout << "A3: starvation — delivered fraction vs. movement speed\n"
             << "(5-broker chain with 15 ms hops; producer targets the "
                "client's location)\n\n";

@@ -12,15 +12,16 @@
 // final table row under jitter.
 //
 //   bench_table2_filters [runs] [threads]
-#include <cstdlib>
 #include <iomanip>
 #include <iostream>
 #include <map>
 #include <sstream>
 #include <string>
 
+#include "bench/bench_args.hpp"
 #include "src/location/profile.hpp"
 #include "src/scenario/sweep.hpp"
+#include "src/util/str_cat.hpp"
 
 using namespace rebeca;
 
@@ -90,7 +91,7 @@ void filter_probe(scenario::Scenario& s, std::map<std::string, double>& m) {
   const SubKey key{ClientId(1), 1};
   for (std::size_t i = 0; i < kBrokers; ++i) {
     auto set = s.overlay().broker(i).ld_concrete_set(key);
-    m["F" + std::to_string(i + 1) + "_size"] =
+    m[util::str_cat("F", i + 1, "_size")] =
         set.has_value() ? static_cast<double>(set->size()) : 0.0;
   }
 }
@@ -98,6 +99,10 @@ void filter_probe(scenario::Scenario& s, std::map<std::string, double>& m) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  const bench::BenchArgs args(argc, argv, "[runs] [threads]", 2);
+  const std::size_t runs = args.count(0, 8);     // seeds per data point
+  const std::size_t threads = args.count(1, 0);  // 0: one per core
+
   auto g = location::LocationGraph::paper_fig7();
   const location::LdSpec spec = table2_spec();
   const char* itinerary[] = {"a", "b", "d"};
@@ -122,8 +127,8 @@ int main(int argc, char** argv) {
   // ---- part 2: live broker chain, swept over stochastic seeds ----
   scenario::SweepConfig cfg;
   cfg.base_seed = 5;
-  cfg.runs = argc > 1 ? static_cast<std::size_t>(std::atol(argv[1])) : 8;
-  cfg.threads = argc > 2 ? static_cast<std::size_t>(std::atol(argv[2])) : 0;
+  cfg.runs = runs;
+  cfg.threads = threads;
 
   scenario::ScenarioSweep sweep(declare);
   sweep.probe(filter_probe);
@@ -139,9 +144,9 @@ int main(int argc, char** argv) {
             << "\n";
   const auto final_loc = g.id_of("d");
   for (std::size_t i = 1; i <= kBrokers; ++i) {
-    std::cout << std::left << std::setw(10) << ("F" + std::to_string(i))
+    std::cout << std::left << std::setw(10) << util::str_cat("F", i)
               << std::right << std::setw(14)
-              << r.stats("F" + std::to_string(i) + "_size").mean_ci()
+              << r.stats(util::str_cat("F", i, "_size")).mean_ci()
               << std::setw(12) << spec.concrete_set(g, final_loc, i).size()
               << "\n";
   }

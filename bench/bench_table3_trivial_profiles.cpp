@@ -11,13 +11,13 @@
 // at every hop, flooding the full location set.
 //
 //   bench_table3_trivial_profiles [runs] [threads]
-#include <cstdlib>
 #include <iomanip>
 #include <iostream>
 #include <map>
 #include <sstream>
 #include <string>
 
+#include "bench/bench_args.hpp"
 #include "src/location/ld_spec.hpp"
 #include "src/location/location_graph.hpp"
 #include "src/location/profile.hpp"
@@ -143,6 +143,10 @@ void run_swept(const location::LocationGraph& g,
 }  // namespace
 
 int main(int argc, char** argv) {
+  const bench::BenchArgs args(argc, argv, "[runs] [threads]", 2);
+  const std::size_t runs = args.count(0, 8);     // seeds per data point
+  const std::size_t threads = args.count(1, 0);  // 0: one per core
+
   auto g = location::LocationGraph::paper_fig7();
 
   // ---- part 1: the paper's exact analytic tables ----
@@ -156,8 +160,8 @@ int main(int argc, char** argv) {
   // ---- part 2: simulation cross-check, swept over stochastic seeds ----
   scenario::SweepConfig cfg;
   cfg.base_seed = 3;
-  cfg.runs = argc > 1 ? static_cast<std::size_t>(std::atol(argv[1])) : 8;
-  cfg.threads = argc > 2 ? static_cast<std::size_t>(std::atol(argv[2])) : 0;
+  cfg.runs = runs;
+  cfg.threads = threads;
 
   std::cout << "Table 3 part 2 — simulated: LD consumer random-walking "
                "Fig. 7 over a "

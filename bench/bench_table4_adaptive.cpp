@@ -14,13 +14,13 @@
 // analytic widths of the q_i balls.
 //
 //   bench_table4_adaptive [runs] [threads]
-#include <cstdlib>
 #include <iomanip>
 #include <iostream>
 #include <map>
 #include <sstream>
 #include <string>
 
+#include "bench/bench_args.hpp"
 #include "src/location/ld_spec.hpp"
 #include "src/location/location_graph.hpp"
 #include "src/location/profile.hpp"
@@ -99,6 +99,10 @@ void ball_probe(scenario::Scenario& s, std::map<std::string, double>& m) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  const bench::BenchArgs args(argc, argv, "[runs] [threads]", 2);
+  const std::size_t runs = args.count(0, 8);     // seeds per data point
+  const std::size_t threads = args.count(1, 0);  // 0: one per core
+
   auto g = location::LocationGraph::paper_fig7();
   auto profile = paper_profile();
   location::LdSpec spec;
@@ -136,8 +140,8 @@ int main(int argc, char** argv) {
   // ---- part 2: simulation cross-check, swept over stochastic seeds ----
   scenario::SweepConfig cfg;
   cfg.base_seed = 4;
-  cfg.runs = argc > 1 ? static_cast<std::size_t>(std::atol(argv[1])) : 8;
-  cfg.threads = argc > 2 ? static_cast<std::size_t>(std::atol(argv[2])) : 0;
+  cfg.runs = runs;
+  cfg.threads = threads;
 
   scenario::ScenarioSweep sweep(declare);
   sweep.probe(ball_probe);

@@ -6,12 +6,12 @@
 // --json emits one flat object (metric -> value) for CI's
 // BENCH_transport.json perf-trajectory artifact.
 #include <chrono>
-#include <cstring>
 #include <iostream>
 #include <map>
 #include <string>
 #include <thread>
 
+#include "bench/bench_args.hpp"
 #include "src/net/message.hpp"
 #include "src/transport/session.hpp"
 #include "src/transport/wire.hpp"
@@ -128,7 +128,8 @@ void bench_session(std::map<std::string, double>& out) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool json = argc > 1 && std::strcmp(argv[1], "--json") == 0;
+  const bench::BenchArgs args(argc, argv, "[--json]", 0, {"--json"});
+  const bool json = args.flag("--json");
   std::map<std::string, double> metrics;
   bench_codec(metrics);
   bench_session(metrics);

@@ -18,6 +18,7 @@
 #include <iostream>
 
 #include "src/scenario/scenario.hpp"
+#include "src/util/str_cat.hpp"
 
 using namespace rebeca;
 
@@ -29,7 +30,7 @@ void post_sale(scenario::Scenario& s, const char* item, int price) {
                    .set("service", "sale")
                    .set("item", item)
                    .set("price", price)
-                   .set("location", "l" + std::to_string(price / 10)));
+                   .set("location", util::str_cat("l", price / 10)));
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include "src/filter/constraint.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <sstream>
 
 #include "src/util/assert.hpp"
@@ -58,7 +59,10 @@ Constraint Constraint::gt(Value v) { return {Op::gt, std::move(v), Value{}, {}};
 Constraint Constraint::ge(Value v) { return {Op::ge, std::move(v), Value{}, {}}; }
 
 Constraint Constraint::in_set(std::set<Value> values) {
-  return {Op::in_set, Value{}, Value{}, std::move(values)};
+  Constraint c{Op::in_set, Value{}, Value{}, std::move(values)};
+  c.nan_member_ = std::any_of(c.values_.begin(), c.values_.end(),
+                              [](const Value& m) { return m.is_nan(); });
+  return c;
 }
 
 Constraint Constraint::prefix(std::string p) {
@@ -96,8 +100,7 @@ bool Constraint::matches(const Value& v) const {
       return c.has_value() && *c >= 0;
     }
     case Op::in_set:
-      return std::any_of(values_.begin(), values_.end(),
-                         [&](const Value& m) { return m.equals(v); });
+      return in_set_contains(v);
     case Op::prefix:
       return v.is_string() && starts_with(v.as_string(), operand_.as_string());
     case Op::range: {
@@ -107,6 +110,33 @@ bool Constraint::matches(const Value& v) const {
     }
   }
   return false;
+}
+
+bool Constraint::in_set_contains(const Value& v) const {
+  // The set's structural order (type, then value) is exact equality
+  // within strings and within bools, which never equal another type.
+  if (!v.is_numeric()) return values_.count(v) != 0;
+
+  // Numbers are equal across int and double (1 == 1.0), so probe both
+  // twins. That is exact unless a NaN is involved (it compares equal to
+  // every number) or a double probe sits at or past 2^53, where several
+  // int64s round onto it; those scan the members.
+  constexpr double kExactInt = 9007199254740992.0;  // 2^53
+  const auto scan = [&] {
+    return std::any_of(values_.begin(), values_.end(),
+                       [&](const Value& m) { return m.equals(v); });
+  };
+  if (nan_member_) return scan();
+  if (v.is_int()) {
+    const std::int64_t i = v.as_int();
+    return values_.count(Value(i)) != 0 ||
+           values_.count(Value(static_cast<double>(i))) != 0;
+  }
+  const double d = v.as_double();
+  if (std::isnan(d) || std::fabs(d) >= kExactInt) return scan();
+  if (values_.count(Value(d)) != 0) return true;
+  return std::trunc(d) == d &&
+         values_.count(Value(static_cast<std::int64_t>(d))) != 0;
 }
 
 std::optional<Constraint::Interval> Constraint::as_interval() const {

@@ -83,6 +83,10 @@ class Constraint {
       : op_(op), operand_(std::move(operand)), hi_(std::move(hi)),
         values_(std::move(values)) {}
 
+  /// in_set membership by Value::equals, in O(log n) wherever a set
+  /// lookup decides it exactly.
+  [[nodiscard]] bool in_set_contains(const Value& v) const;
+
   // Bounds of the accepted value interval for ordered ops; used by the
   // covering decision procedure. nullopt where not interval-shaped.
   struct Interval {
@@ -93,6 +97,7 @@ class Constraint {
   [[nodiscard]] bool interval_covers(const Interval& outer, const Constraint& inner) const;
 
   Op op_;
+  bool nan_member_ = false;  // in_set holds a NaN (equal to every number)
   Value operand_;          // eq/ne/lt/le/gt/ge operand; range lo; prefix string
   Value hi_;               // range hi
   std::set<Value> values_; // in_set members

@@ -8,6 +8,7 @@
 #ifndef REBECA_FILTER_VALUE_HPP
 #define REBECA_FILTER_VALUE_HPP
 
+#include <cmath>
 #include <cstdint>
 #include <optional>
 #include <ostream>
@@ -33,6 +34,8 @@ class Value {
   [[nodiscard]] bool is_numeric() const { return is_int() || is_double(); }
   [[nodiscard]] bool is_string() const { return std::holds_alternative<std::string>(storage_); }
   [[nodiscard]] bool is_bool() const { return std::holds_alternative<bool>(storage_); }
+  /// A NaN double: it compares equal to every number (see compare()).
+  [[nodiscard]] bool is_nan() const { return is_double() && std::isnan(as_double()); }
 
   [[nodiscard]] std::int64_t as_int() const { return std::get<std::int64_t>(storage_); }
   [[nodiscard]] double as_double() const { return std::get<double>(storage_); }

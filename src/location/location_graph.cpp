@@ -4,6 +4,7 @@
 #include <queue>
 
 #include "src/util/assert.hpp"
+#include "src/util/str_cat.hpp"
 
 namespace rebeca::location {
 
@@ -14,7 +15,7 @@ LocationId LocationGraph::add(const std::string& name) {
   names_.push_back(name);
   index_.emplace(name, id);
   adjacency_.emplace_back();
-  ball_cache_.emplace_back();
+  ball_cache_.balls.emplace_back();
   return id;
 }
 
@@ -26,7 +27,7 @@ void LocationGraph::connect(LocationId a, LocationId b) {
   na.push_back(b);
   adjacency_[b.value()].push_back(a);
   // Topology changed: memoized balls are stale.
-  for (auto& per_loc : ball_cache_) per_loc.clear();
+  for (auto& per_loc : ball_cache_.balls) per_loc.clear();
 }
 
 void LocationGraph::connect(const std::string& a, const std::string& b) {
@@ -58,9 +59,10 @@ LocationSet LocationGraph::all() const {
 
 const LocationSet& LocationGraph::ploc(LocationId x, std::size_t q) const {
   REBECA_ASSERT(x.value() < size(), "location out of range");
-  auto& per_loc = ball_cache_[x.value()];
   // Balls saturate at the graph size; clamp q so the cache stays small.
   q = std::min(q, size());
+  const std::lock_guard<std::mutex> lock(ball_cache_.mutex);
+  auto& per_loc = ball_cache_.balls[x.value()];
   if (per_loc.size() > q) return per_loc[q];
 
   // Extend the cached ball sequence with BFS layers up to q.
@@ -122,7 +124,7 @@ LocationGraph LocationGraph::paper_fig7() {
 LocationGraph LocationGraph::line(std::size_t n) {
   REBECA_ASSERT(n >= 1, "line needs at least one location");
   LocationGraph g;
-  for (std::size_t i = 0; i < n; ++i) g.add("l" + std::to_string(i));
+  for (std::size_t i = 0; i < n; ++i) g.add(util::str_cat("l", i));
   for (std::size_t i = 0; i + 1 < n; ++i) {
     g.connect(LocationId(static_cast<std::uint32_t>(i)),
               LocationId(static_cast<std::uint32_t>(i + 1)));
@@ -134,7 +136,7 @@ LocationGraph LocationGraph::grid(std::size_t w, std::size_t h) {
   REBECA_ASSERT(w >= 1 && h >= 1, "grid needs positive dimensions");
   LocationGraph g;
   auto name_of = [](std::size_t x, std::size_t y) {
-    return "g" + std::to_string(x) + "_" + std::to_string(y);
+    return util::str_cat("g", x, "_", y);
   };
   for (std::size_t y = 0; y < h; ++y) {
     for (std::size_t x = 0; x < w; ++x) g.add(name_of(x, y));
@@ -151,7 +153,7 @@ LocationGraph LocationGraph::grid(std::size_t w, std::size_t h) {
 LocationGraph LocationGraph::ring(std::size_t n) {
   REBECA_ASSERT(n >= 3, "ring needs at least three locations");
   LocationGraph g;
-  for (std::size_t i = 0; i < n; ++i) g.add("r" + std::to_string(i));
+  for (std::size_t i = 0; i < n; ++i) g.add(util::str_cat("r", i));
   for (std::size_t i = 0; i < n; ++i) {
     g.connect(LocationId(static_cast<std::uint32_t>(i)),
               LocationId(static_cast<std::uint32_t>((i + 1) % n)));
@@ -163,7 +165,7 @@ LocationGraph LocationGraph::random_connected(std::size_t n, std::size_t extra_e
                                               util::Rng& rng) {
   REBECA_ASSERT(n >= 1, "graph needs at least one location");
   LocationGraph g;
-  for (std::size_t i = 0; i < n; ++i) g.add("x" + std::to_string(i));
+  for (std::size_t i = 0; i < n; ++i) g.add(util::str_cat("x", i));
   for (std::size_t i = 1; i < n; ++i) {
     g.connect(LocationId(static_cast<std::uint32_t>(rng.index(i))),
               LocationId(static_cast<std::uint32_t>(i)));

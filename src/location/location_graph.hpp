@@ -16,6 +16,7 @@
 #include <cstddef>
 #include <deque>
 #include <map>
+#include <mutex>
 #include <set>
 #include <string>
 #include <vector>
@@ -95,8 +96,22 @@ class LocationGraph {
   std::vector<std::vector<LocationId>> adjacency_;
   // Memo: per location, ball per radius (filled lazily, monotone). The
   // inner container is a deque so references returned by ploc() survive
-  // later cache growth.
-  mutable std::vector<std::deque<LocationSet>> ball_cache_;
+  // later cache growth. One graph serves every broker of a scenario, and
+  // under the sharded engine brokers on different lanes call ploc() at
+  // the same time, so filling the memo takes the lock. A copy of the
+  // graph starts with an empty memo.
+  struct BallCache {
+    std::mutex mutex;
+    std::vector<std::deque<LocationSet>> balls;  // indexed by LocationId
+
+    BallCache() = default;
+    BallCache(const BallCache& other) : balls(other.balls.size()) {}
+    BallCache& operator=(const BallCache& other) {
+      if (this != &other) balls.assign(other.balls.size(), {});
+      return *this;
+    }
+  };
+  mutable BallCache ball_cache_;
 };
 
 /// Set helpers (sorted-vector semantics).

@@ -1,6 +1,7 @@
 #include "src/routing/match_index.hpp"
 
 #include <algorithm>
+#include <set>
 
 #include "src/util/assert.hpp"
 
@@ -24,12 +25,57 @@ bool bound_less(const Value& a, const Value& b) {
   return a.compare(b).value_or(0) < 0;
 }
 
+constexpr std::int64_t kExactInt = std::int64_t{1} << 53;
+
 /// True when the value's normalized double equality key is lossless, so
 /// key equality coincides with Value::equals.
 bool eq_key_exact(const Value& v) {
   if (!v.is_int()) return true;
   const std::int64_t i = v.as_int();
-  return i >= -(std::int64_t{1} << 53) && i <= (std::int64_t{1} << 53);
+  return i >= -kExactInt && i <= kExactInt;
+}
+
+/// True when `m` is an int whose double twin is also a member (1 beside
+/// 1.0): both share one equality key, and the double posts it — a huge
+/// int64 probe under that key equals the double but never the int, so
+/// the double's posting answers for both. In a set of exact, non-NaN
+/// members this is the only way two members collide: distinct ints and
+/// strings have distinct keys, and the set already folds equal doubles
+/// (0.0 and -0.0).
+bool has_double_twin(const Value& m, const std::set<Value>& members) {
+  return m.is_int() &&
+         members.count(Value(static_cast<double>(m.as_int()))) != 0;
+}
+
+/// Calls `post` with every value an eq or in_set term posts to the
+/// equality map, each key at most once, and returns true — or returns
+/// false without calling it when the term must stay on the general lane
+/// (a NaN, whose key is unordered, or an in_set with a lossy-keyed
+/// member, which could share a key with another member).
+template <typename Post>
+bool for_each_posting(const Constraint& c, Post&& post) {
+  if (c.op() == Op::eq) {
+    if (c.operand().is_nan()) return false;
+    post(c.operand());
+    return true;
+  }
+  const std::set<Value>& members = c.values();
+  if (!std::all_of(members.begin(), members.end(), [](const Value& m) {
+        return eq_key_exact(m) && !m.is_nan();
+      })) {
+    return false;
+  }
+  for (const Value& m : members) {
+    if (!has_double_twin(m, members)) post(m);
+  }
+  return true;
+}
+
+void erase_one(std::vector<std::uint32_t>& slots, std::uint32_t slot) {
+  auto it = std::find(slots.begin(), slots.end(), slot);
+  REBECA_ASSERT(it != slots.end(), "match index: missing eq record for slot");
+  *it = slots.back();  // order is free: collect() sorts its output
+  slots.pop_back();
 }
 
 }  // namespace
@@ -84,23 +130,12 @@ void MatchIndex::index_term(const filter::Filter::Term& term,
   const Constraint& c = term.c;
 
   switch (c.op()) {
-    case Op::eq: {
-      EqKey key;
-      key.cls = value_class(c.operand());
-      switch (key.cls) {
-        case 0: key.num = *c.operand().numeric(); break;
-        case 1: key.str = c.operand().as_string(); break;
-        default: key.b = c.operand().as_bool(); break;
-      }
-      EqBucket& bucket = b.eq[key];
-      if (eq_key_exact(c.operand())) {
-        bucket.exact_slots.push_back(slot);
-        bucket.exact_operands.push_back(c.operand());
-      } else {
-        bucket.inexact.emplace_back(c.operand(), slot);
+    case Op::eq:
+    case Op::in_set:
+      if (!for_each_posting(c, [&](const Value& m) { post_eq(b, m, slot); })) {
+        break;
       }
       return;
-    }
     case Op::lt:
     case Op::le:
     case Op::gt:
@@ -157,7 +192,8 @@ void MatchIndex::index_term(const filter::Filter::Term& term,
     default:
       break;
   }
-  // any / ne / prefix / in_set (and ordered-on-bool): exact evaluation.
+  // any / ne / prefix, unpostable eq / in_set (and ordered-on-bool):
+  // exact evaluation.
   b.general.push_back(GeneralItem{c, slot});
 }
 
@@ -176,33 +212,13 @@ void MatchIndex::unindex_term(const filter::Filter::Term& term,
   };
 
   switch (c.op()) {
-    case Op::eq: {
-      EqKey key;
-      key.cls = value_class(c.operand());
-      switch (key.cls) {
-        case 0: key.num = *c.operand().numeric(); break;
-        case 1: key.str = c.operand().as_string(); break;
-        default: key.b = c.operand().as_bool(); break;
-      }
-      auto it = b.eq.find(key);
-      REBECA_ASSERT(it != b.eq.end(), "match index: missing eq bucket");
-      EqBucket& bucket = it->second;
-      if (eq_key_exact(c.operand())) {
-        auto sit = std::find(bucket.exact_slots.begin(),
-                             bucket.exact_slots.end(), slot);
-        REBECA_ASSERT(sit != bucket.exact_slots.end(),
-                      "match index: missing eq record for slot");
-        const auto i = sit - bucket.exact_slots.begin();
-        bucket.exact_slots.erase(sit);
-        bucket.exact_operands.erase(bucket.exact_operands.begin() + i);
-      } else {
-        erase_slot(bucket.inexact);
-      }
-      if (bucket.exact_slots.empty() && bucket.inexact.empty()) {
-        b.eq.erase(it);
+    case Op::eq:
+    case Op::in_set:
+      if (!for_each_posting(c,
+                            [&](const Value& m) { unpost_eq(b, m, slot); })) {
+        break;
       }
       return;
-    }
     case Op::lt:
     case Op::le: {
       const int cls = value_class(c.operand());
@@ -222,6 +238,55 @@ void MatchIndex::unindex_term(const filter::Filter::Term& term,
       break;
   }
   erase_slot(b.general);
+}
+
+MatchIndex::EqProbe MatchIndex::probe_of(const Value& v) {
+  EqProbe probe;
+  probe.cls = value_class(v);
+  switch (probe.cls) {
+    case 0: probe.num = *v.numeric(); break;
+    case 1: probe.str = v.as_string(); break;
+    default: probe.b = v.as_bool(); break;
+  }
+  return probe;
+}
+
+void MatchIndex::post_eq(Bucket& b, const Value& operand, std::uint32_t slot) {
+  const EqProbe probe = probe_of(operand);
+  auto it = b.eq.lower_bound(probe);
+  if (it == b.eq.end() || EqKeyLess{}(probe, it->first)) {
+    it = b.eq.emplace_hint(
+        it, EqKey{probe.cls, probe.num, std::string(probe.str), probe.b},
+        EqBucket{});
+  }
+  EqBucket& bucket = it->second;
+  if (!eq_key_exact(operand)) {
+    bucket.inexact.emplace_back(operand, slot);
+  } else if (operand.is_int()) {
+    bucket.int_slots.push_back(slot);
+  } else {
+    bucket.slots.push_back(slot);
+  }
+}
+
+void MatchIndex::unpost_eq(Bucket& b, const Value& operand,
+                           std::uint32_t slot) {
+  auto it = b.eq.find(probe_of(operand));
+  REBECA_ASSERT(it != b.eq.end(), "match index: missing eq bucket");
+  EqBucket& bucket = it->second;
+  if (!eq_key_exact(operand)) {
+    auto iit = std::find_if(bucket.inexact.begin(), bucket.inexact.end(),
+                            [slot](const EqItem& item) { return item.slot == slot; });
+    REBECA_ASSERT(iit != bucket.inexact.end(),
+                  "match index: missing eq record for slot");
+    bucket.inexact.erase(iit);
+  } else {
+    erase_one(operand.is_int() ? bucket.int_slots : bucket.slots, slot);
+  }
+  if (bucket.slots.empty() && bucket.int_slots.empty() &&
+      bucket.inexact.empty()) {
+    b.eq.erase(it);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -336,28 +401,16 @@ void MatchIndex::collect(const filter::Notification& n, MatchHits& out) const {
     const Value& v = attr.value;
     const int cls = value_class(v);
 
-    // Equality buckets: one normalized probe (borrowing the string, no
+    // Equality postings: one normalized probe (borrowing the string, no
     // copy), exact re-check per item only where the key is lossy.
     if (!b.eq.empty()) {
-      EqProbe key;
-      key.cls = cls;
-      switch (cls) {
-        case 0: key.num = *v.numeric(); break;
-        case 1: key.str = v.as_string(); break;
-        default: key.b = v.as_bool(); break;
-      }
-      auto it = b.eq.find(key);
+      auto it = b.eq.find(probe_of(v));
       if (it != b.eq.end()) {
         const EqBucket& bucket = it->second;
+        for (const std::uint32_t slot : bucket.slots) bump(slot);
+        // A lossy probe (a huge int64) equals no exact int under its key.
         if (eq_key_exact(v)) {
-          // Key equality is exact on both sides: sweep the dense list.
-          for (const std::uint32_t slot : bucket.exact_slots) bump(slot);
-        } else {
-          for (std::size_t i = 0; i < bucket.exact_slots.size(); ++i) {
-            if (v.equals(bucket.exact_operands[i])) {
-              bump(bucket.exact_slots[i]);
-            }
-          }
+          for (const std::uint32_t slot : bucket.int_slots) bump(slot);
         }
         for (const EqItem& item : bucket.inexact) {
           if (v.equals(item.operand)) bump(item.slot);

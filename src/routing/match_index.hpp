@@ -11,10 +11,16 @@
 //     upsert/prune stream feeds the remote plane; session/virtual/LD
 //     lifecycle feeds the rest);
 //   * each entry's constraints are decomposed into per-attribute buckets:
-//     equality buckets keyed by (normalized) operand value, ordered
+//     equality postings keyed by (normalized) operand value, ordered
 //     bound lists for interval-shaped constraints (sorted by lower
 //     bound, probed by prefix), and a catch-all list for the rest
-//     (any/ne/prefix/in_set), evaluated by Constraint::matches;
+//     (any/ne/prefix), evaluated by Constraint::matches;
+//   * an eq term posts its operand and an in_set term posts each member
+//     under the member's equality key, so a set-membership probe is one
+//     map lookup. A term bumps its entry at most once per query: members
+//     sharing a key (1 and 1.0) post once, and an in_set holding a member
+//     whose key is lossy (int64 beyond ±2^53) or unordered (NaN) stays on
+//     the catch-all list;
 //   * a query walks the notification's attributes once, bumps a
 //     per-entry hit counter for every satisfied constraint (epoch
 //     stamps, so no O(entries) clear per query), and emits the entries
@@ -88,9 +94,9 @@ class MatchIndex {
 
   /// Normalized equality-bucket key. Cross-type numeric equality
   /// (1 == 1.0) must land int and double operands in the same bucket,
-  /// so numerics normalize to double; the bucket items keep the exact
-  /// operand Value and re-verify with Value::equals on probe (huge
-  /// int64s can collide after the double cast).
+  /// so numerics normalize to double; huge int64s can collide after the
+  /// double cast, so their postings keep the operand and re-verify with
+  /// Value::equals on probe.
   struct EqKey {
     int cls = 0;  // 0 numeric, 1 string, 2 bool
     double num = 0;
@@ -127,13 +133,15 @@ class MatchIndex {
   };
 
   /// One equality bucket. Operands whose normalized key decides equality
-  /// exactly (strings, bools, doubles, int64s within ±2^53) live in a
-  /// dense slot list swept without per-item verification; only huge
-  /// int64s — where the double key is lossy — pay a Value::equals each.
+  /// exactly (strings, bools, doubles, int64s within ±2^53) live in dense
+  /// slot lists swept without per-item verification; only huge int64s —
+  /// where the double key is lossy — pay a Value::equals each. A lossy
+  /// probe (a huge int64) equals every double under its key and none of
+  /// the exact ints, so the ints get their own list and no operand copy.
   struct EqBucket {
-    std::vector<std::uint32_t> exact_slots;
-    std::vector<filter::Value> exact_operands;  // parallel; lossy-probe path
-    std::vector<EqItem> inexact;
+    std::vector<std::uint32_t> slots;      // doubles, strings, bools
+    std::vector<std::uint32_t> int_slots;  // int64s within ±2^53
+    std::vector<EqItem> inexact;           // int64s beyond ±2^53
   };
 
   /// Interval-shaped constraint (lt/le/gt/ge/range) over one ordered
@@ -166,6 +174,11 @@ class MatchIndex {
   void remove_entry(std::uint32_t slot);
   void index_term(const filter::Filter::Term& term, std::uint32_t slot);
   void unindex_term(const filter::Filter::Term& term, std::uint32_t slot);
+  static EqProbe probe_of(const filter::Value& v);
+  static void post_eq(Bucket& b, const filter::Value& operand,
+                      std::uint32_t slot);
+  static void unpost_eq(Bucket& b, const filter::Value& operand,
+                        std::uint32_t slot);
   void upsert_keyed(std::map<SubKey, std::uint32_t>& slots, Entry entry);
   void remove_keyed(std::map<SubKey, std::uint32_t>& slots, const SubKey& key);
   void bump(std::uint32_t slot) const;

@@ -6,6 +6,7 @@
 #include <memory>
 
 #include "tests/scenario_world.hpp"
+#include "src/util/str_cat.hpp"
 
 namespace rebeca {
 namespace {
@@ -122,17 +123,17 @@ TEST(BrokerEdge, ManySubscriptionsOneClientRoam) {
   std::vector<std::uint32_t> subs;
   for (int i = 0; i < 12; ++i) {
     subs.push_back(consumer.subscribe(
-        filter::Filter().where("topic", filter::Constraint::eq("t" + std::to_string(i)))));
+        filter::Filter().where("topic", filter::Constraint::eq(util::str_cat("t", i)))));
   }
   w.settle();
   for (int i = 0; i < 12; ++i) {
-    producer.publish(filter::Notification().set("topic", "t" + std::to_string(i)));
+    producer.publish(filter::Notification().set("topic", util::str_cat("t", i)));
   }
   w.settle();
   consumer.detach_silently();
   w.settle(0.1);
   for (int i = 0; i < 12; ++i) {
-    producer.publish(filter::Notification().set("topic", "t" + std::to_string(i)).set("r", 2));
+    producer.publish(filter::Notification().set("topic", util::str_cat("t", i)).set("r", 2));
   }
   w.settle(0.3);
   w.overlay.connect_client(consumer, 1);

@@ -2,8 +2,14 @@
 // decision procedures content-based routing rests on (paper Sec. 2.2).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
+
 #include "src/filter/constraint.hpp"
 #include "src/util/assert.hpp"
+#include "src/util/rng.hpp"
+#include "src/util/str_cat.hpp"
 
 namespace rebeca::filter {
 namespace {
@@ -88,6 +94,94 @@ TEST(ConstraintMatch, RangeInclusive) {
 
 TEST(ConstraintMatch, RangeBoundsValidated) {
   EXPECT_THROW(C::range(Value(5), Value(2)), util::AssertionError);
+}
+
+// ---------------------------------------------------------------------------
+// in_set against its definition
+// ---------------------------------------------------------------------------
+
+/// Mixed-type values where set lookup and Value::equals could part ways:
+/// int/double twins, ±0.0, int64s around 2^53 (where doubles stop
+/// telling ints apart), huge and infinite doubles, NaN (equal to every
+/// number), strings and bools.
+Value random_mixed(util::Rng& rng) {
+  constexpr std::int64_t kTwo53 = std::int64_t{1} << 53;
+  switch (rng.index(10)) {
+    case 0: return Value(rng.uniform_i64(-4, 4));
+    case 1: return Value(static_cast<double>(rng.uniform_i64(-4, 4)));
+    case 2: return Value(static_cast<double>(rng.uniform_i64(-8, 8)) / 2);
+    case 3: return Value(rng.bernoulli(0.5) ? 0.0 : -0.0);
+    case 4: return Value(kTwo53 + rng.uniform_i64(-2, 3));
+    case 5: return Value(static_cast<double>(kTwo53 + rng.uniform_i64(-2, 4)));
+    case 6: {
+      const double big[] = {1e300, -1e19,
+                            std::numeric_limits<double>::infinity()};
+      return Value(big[rng.index(3)]);
+    }
+    case 7:
+      if (rng.bernoulli(0.3)) return Value(std::nan(""));
+      return Value(rng.uniform_i64(-4, 4));
+    case 8: return Value(util::str_cat("s", rng.index(4)));
+    default: return Value(rng.bernoulli(0.5));
+  }
+}
+
+std::set<Value> random_members(util::Rng& rng) {
+  std::set<Value> values;
+  const std::size_t n = rng.index(10);  // 0..9; empty sets included
+  for (std::size_t i = 0; i < n; ++i) values.insert(random_mixed(rng));
+  return values;
+}
+
+/// The definition in_set is held to: some member equals the value.
+bool member_of(const Constraint& set, const Value& v) {
+  return std::any_of(set.values().begin(), set.values().end(),
+                     [&](const Value& m) { return m.equals(v); });
+}
+
+TEST(ConstraintInSet, AgreesWithMemberScanOnMixedValues) {
+  util::Rng rng(5309);
+  for (int round = 0; round < 4000; ++round) {
+    const C a = C::in_set(random_members(rng));
+    const C b = C::in_set(random_members(rng));
+    const Value x = random_mixed(rng);
+    SCOPED_TRACE(a.to_string() + " / " + b.to_string() + " / " +
+                 x.to_string());
+
+    EXPECT_EQ(a.matches(x), member_of(a, x));
+    EXPECT_EQ(a.covers(C::eq(x)), member_of(a, x));
+    EXPECT_EQ(a.overlaps(C::eq(x)), member_of(a, x));
+    EXPECT_EQ(C::ne(x).covers(a), !a.values().empty() && !member_of(a, x));
+
+    const auto& bv = b.values();
+    const bool b_inside_a = std::all_of(
+        bv.begin(), bv.end(), [&](const Value& m) { return member_of(a, m); });
+    EXPECT_EQ(a.covers(b), !bv.empty() && b_inside_a);
+    const bool shared = std::any_of(
+        bv.begin(), bv.end(), [&](const Value& m) { return member_of(a, m); });
+    EXPECT_EQ(a.overlaps(b), shared);
+    EXPECT_EQ(b.overlaps(a), shared);
+  }
+}
+
+TEST(ConstraintInSet, NumericTwinsAndNaN) {
+  const std::int64_t two53 = std::int64_t{1} << 53;
+  // Cross-type twins find each other through the lookup.
+  EXPECT_TRUE(C::in_set({Value(1)}).matches(Value(1.0)));
+  EXPECT_TRUE(C::in_set({Value(1.0)}).matches(Value(1)));
+  EXPECT_TRUE(C::in_set({Value(-0.0)}).matches(Value(0)));
+  EXPECT_FALSE(C::in_set({Value(1.5)}).matches(Value(1)));
+  // Past 2^53 one double stands for several int64s.
+  EXPECT_TRUE(C::in_set({Value(two53 + 1)})
+                  .matches(Value(static_cast<double>(two53))));
+  EXPECT_FALSE(C::in_set({Value(two53 + 1)}).matches(Value(two53)));
+  EXPECT_TRUE(C::in_set({Value(static_cast<double>(two53))})
+                  .matches(Value(two53 + 1)));
+  // NaN compares equal to every number, never to a string.
+  EXPECT_TRUE(C::in_set({Value(std::nan(""))}).matches(Value(7)));
+  EXPECT_TRUE(C::in_set({Value(7)}).matches(Value(std::nan(""))));
+  EXPECT_FALSE(C::in_set({Value(std::nan(""))}).matches(Value("7")));
+  EXPECT_FALSE(C::in_set({Value("7")}).matches(Value(std::nan(""))));
 }
 
 // ---------------------------------------------------------------------------

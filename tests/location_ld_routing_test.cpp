@@ -8,6 +8,7 @@
 #include <set>
 
 #include "tests/scenario_world.hpp"
+#include "src/util/str_cat.hpp"
 
 namespace rebeca {
 namespace {
@@ -310,7 +311,7 @@ INSTANTIATE_TEST_SUITE_P(
       const char* kind = info.param.profile_kind == 0   ? "resub"
                          : info.param.profile_kind == 1 ? "flood"
                                                         : "adaptive";
-      return std::string(kind) + "_seed" + std::to_string(info.param.seed);
+      return util::str_cat(kind, "_seed", info.param.seed);
     });
 
 TEST(LdStarvation, TooFastClientMissesNotifications) {
@@ -331,10 +332,10 @@ TEST(LdStarvation, TooFastClientMissesNotifications) {
   // Sprint along the line, publishing at the consumer's location.
   for (int i = 1; i < 16; ++i) {
     w.sim.schedule_after(sim::millis(20.0 * i), [&, i] {
-      consumer.move_to("l" + std::to_string(i));
+      consumer.move_to(util::str_cat("l", i));
     });
     w.sim.schedule_after(sim::millis(20.0 * i + 10.0), [&, i] {
-      producer.publish(parking_at("l" + std::to_string(i)));
+      producer.publish(parking_at(util::str_cat("l", i)));
     });
   }
   w.settle(5.0);

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <thread>
+#include <vector>
 
 #include "src/location/location_graph.hpp"
 #include "src/util/assert.hpp"
@@ -171,6 +174,34 @@ TEST(Ploc, ConstraintForSetMatchesLocationNames) {
 // ---------------------------------------------------------------------------
 // Set helpers
 // ---------------------------------------------------------------------------
+
+TEST(Ploc, ConcurrentCallersShareOneGraph) {
+  // Brokers on different lanes of the sharded engine query one graph at
+  // once; the lazily filled ball memo must not race.
+  const LocationGraph reference = LocationGraph::grid(8, 8);
+  std::vector<std::vector<LocationSet>> expected(reference.size());
+  for (std::uint32_t x = 0; x < reference.size(); ++x) {
+    for (std::size_t q = 0; q <= 15; ++q) {
+      expected[x].push_back(reference.ploc(LocationId(x), q));
+    }
+  }
+
+  const LocationGraph shared = LocationGraph::grid(8, 8);
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (std::uint32_t t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      for (std::uint32_t i = 0; i < shared.size(); ++i) {
+        const std::uint32_t x = (i * 7 + t * 16) % shared.size();
+        for (std::size_t q = 0; q <= 15; ++q) {
+          if (shared.ploc(LocationId(x), q) != expected[x][q]) ++mismatches;
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(mismatches.load(), 0);
+}
 
 TEST(LocationSets, UnionDifferenceContains) {
   LocationSet a{LocationId(1), LocationId(3), LocationId(5)};

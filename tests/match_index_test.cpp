@@ -7,12 +7,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <map>
 #include <vector>
 
 #include "src/routing/match_index.hpp"
 #include "src/routing/strategy.hpp"
 #include "src/util/rng.hpp"
+#include "src/util/str_cat.hpp"
 
 namespace rebeca::routing {
 namespace {
@@ -34,18 +36,48 @@ const std::vector<std::string>& attr_pool() {
 }
 
 Value random_value(util::Rng& rng) {
-  switch (rng.index(6)) {
+  switch (rng.index(7)) {
     case 0: return Value(static_cast<int>(rng.uniform_i64(-5, 20)));
     case 1: return Value(rng.uniform_real(-2.0, 12.0));
     case 2: return Value(static_cast<double>(rng.uniform_i64(-5, 20)));
-    case 3: return Value("s" + std::to_string(rng.uniform_u64(0, 9)));
+    case 3: return Value(util::str_cat("s", rng.uniform_u64(0, 9)));
     case 4: return Value(rng.bernoulli(0.5));
+    case 5:
+      // Doubles at and past 2^53, where one double stands for several
+      // int64s, and -0.0 (equal to 0).
+      switch (rng.index(3)) {
+        case 0: return Value(-0.0);
+        case 1: return Value(static_cast<double>(1LL << 53));
+        default: return Value(static_cast<double>((1LL << 53) + 2));
+      }
     default:
-      // Huge int64s past 2^53: the eq-bucket double normalization must
+      // Huge int64s around 2^53: the eq-bucket double normalization must
       // not conflate them.
       return Value(static_cast<std::int64_t>(
           (1LL << 53) + static_cast<std::int64_t>(rng.uniform_u64(0, 3))));
   }
+}
+
+/// in_set members: the value universe plus the shapes the equality
+/// postings must handle — int/double twins sharing one key (1 and 1.0),
+/// huge int64s (lossy keys) and, rarely, NaN (equal to every number).
+/// A quarter of the sets are large (up to 64 members).
+std::set<Value> random_members(util::Rng& rng) {
+  std::set<Value> values;
+  const std::size_t n =
+      rng.bernoulli(0.25) ? 1 + rng.index(64) : 1 + rng.index(4);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (rng.bernoulli(1.0 / 256)) {
+      values.insert(Value(std::nan("")));
+      continue;
+    }
+    const Value m = random_value(rng);
+    values.insert(m);
+    if (m.is_int() && rng.bernoulli(0.3)) {
+      values.insert(Value(static_cast<double>(m.as_int())));  // twin
+    }
+  }
+  return values;
 }
 
 Constraint random_constraint(util::Rng& rng) {
@@ -57,12 +89,7 @@ Constraint random_constraint(util::Rng& rng) {
     case 4: return Constraint::le(Value(rng.uniform_real(-2.0, 12.0)));
     case 5: return Constraint::gt(Value("s" + std::to_string(rng.uniform_u64(0, 9))));
     case 6: return Constraint::ge(Value(static_cast<int>(rng.uniform_i64(-5, 20))));
-    case 7: {
-      std::set<Value> values;
-      const std::size_t n = 1 + rng.index(4);
-      for (std::size_t i = 0; i < n; ++i) values.insert(random_value(rng));
-      return Constraint::in_set(std::move(values));
-    }
+    case 7: return Constraint::in_set(random_members(rng));
     case 8: return Constraint::prefix("s" + std::string(rng.bernoulli(0.5) ? "1" : ""));
     default: {
       const auto lo = static_cast<int>(rng.uniform_i64(-5, 10));
@@ -355,6 +382,92 @@ TEST(MatchIndex, HugeInt64sDoNotConflate) {
   index.collect(Notification().set("x", Value(base + 1)), hits);
   ASSERT_EQ(hits.locals.size(), 1u);
   EXPECT_EQ(hits.locals[0].client, ClientId(2));
+}
+
+TEST(MatchIndex, InSetTermBumpsOncePerQuery) {
+  // 1 and 1.0 share one equality key. Were both posted, a probe of 1
+  // would bump the in_set term twice and complete the two-term filter
+  // without its y term.
+  MatchIndex index;
+  Filter f;
+  f.where("x", Constraint::in_set({Value(1), Value(1.0), Value(2)}));
+  f.where("y", Constraint::eq("a"));
+  index.upsert_local(SubKey{ClientId(1), 1}, f);
+
+  MatchHits hits;
+  index.collect(Notification().set("x", 1), hits);
+  EXPECT_TRUE(hits.locals.empty());
+  index.collect(Notification().set("x", 1.0).set("y", "a"), hits);
+  EXPECT_EQ(hits.locals.size(), 1u);
+  index.collect(Notification().set("x", -0.0), hits);
+  EXPECT_TRUE(hits.locals.empty());
+}
+
+TEST(MatchIndex, InSetWithLossyOrNaNMemberStaysExact) {
+  const std::int64_t base = 1LL << 53;
+  MatchIndex index;
+  Filter huge;
+  huge.where("x", Constraint::in_set({Value(base + 1), Value(5)}));
+  Filter nan;
+  nan.where("x", Constraint::in_set({Value(std::nan("")), Value("s")}));
+  Filter eq_nan;
+  eq_nan.where("x", Constraint::eq(std::nan("")));
+  index.upsert_local(SubKey{ClientId(1), 1}, huge);
+  index.upsert_local(SubKey{ClientId(2), 1}, nan);
+  index.upsert_local(SubKey{ClientId(3), 1}, eq_nan);
+
+  const auto clients = [&](const Notification& n) {
+    MatchHits hits;
+    index.collect(n, hits);
+    std::vector<std::uint32_t> out;
+    for (const SubKey& k : hits.locals) out.push_back(k.client.value());
+    return out;
+  };
+  using V = std::vector<std::uint32_t>;
+  EXPECT_EQ(clients(Notification().set("x", Value(base + 1))), V({1, 2, 3}));
+  EXPECT_EQ(clients(Notification().set("x", Value(base))), V({2, 3}));
+  // One double stands for 2^53 and 2^53 + 1.
+  EXPECT_EQ(clients(Notification().set("x", static_cast<double>(base))),
+            V({1, 2, 3}));
+  EXPECT_EQ(clients(Notification().set("x", 5)), V({1, 2, 3}));
+  EXPECT_EQ(clients(Notification().set("x", "s")), V({2}));
+  EXPECT_EQ(clients(Notification().set("x", "t")), V{});
+}
+
+TEST(MatchIndex, DrainLeavesNoPostingsBehind) {
+  // Fill the index with in_set-heavy filters, remove every entry, then
+  // refill: a stale posting would bump a reused slot and surface as a
+  // wrong hit in the second round.
+  util::Rng rng(777);
+  MatchIndex index;
+  MatchHits hits;
+  for (int round = 0; round < 3; ++round) {
+    Mirror mirror;
+    for (std::uint32_t i = 0; i < 60; ++i) {
+      Filter f;
+      f.where("location", Constraint::in_set(random_members(rng)));
+      if (rng.bernoulli(0.5)) f.where(rng.pick(attr_pool()), random_constraint(rng));
+      const SubKey key{ClientId(i + 1), 1};
+      index.upsert_local(key, f);
+      mirror.locals[key] = f;
+    }
+    for (int probe = 0; probe < 200; ++probe) {
+      Notification n = random_notification(rng);
+      n.set("location", random_value(rng));
+      index.collect(n, hits);
+      expect_same(mirror.collect(n), hits, n);
+    }
+    for (const auto& [key, f] : mirror.locals) index.remove_local(key);
+    EXPECT_EQ(index.entry_count(), 0u);
+    for (int probe = 0; probe < 50; ++probe) {
+      Notification n = random_notification(rng);
+      n.set("location", random_value(rng));
+      index.collect(n, hits);
+      EXPECT_TRUE(hits.links.empty() && hits.locals.empty() &&
+                  hits.virtuals.empty())
+          << n.to_string();
+    }
+  }
 }
 
 TEST(MatchIndex, OneLinkHitPerManyMatchingFilters) {

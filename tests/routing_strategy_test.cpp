@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "src/routing/strategy.hpp"
+#include "src/util/str_cat.hpp"
 
 namespace rebeca::routing {
 namespace {
@@ -84,7 +85,7 @@ TEST(Strategy, MergingReachesFixpoint) {
   std::vector<ForwardInput> inputs;
   for (std::uint32_t i = 0; i < 6; ++i) {
     inputs.push_back(
-        input(Filter().where("sym", Constraint::eq("S" + std::to_string(i))), i));
+        input(Filter().where("sym", Constraint::eq(util::str_cat("S", i))), i));
   }
   auto fs = compute_forward_set(Strategy::merging, inputs);
   ASSERT_EQ(fs.size(), 1u);  // all six collapse into one in-set
