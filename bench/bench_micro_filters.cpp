@@ -124,9 +124,9 @@ BENCHMARK(BM_ConstraintForSet)->Arg(2)->Arg(8);
 
 // ---------------------------------------------------------------------------
 // The per-hop matching decision: linear scans vs. the counting
-// MatchIndex over the same filter population. This is the pair behind
-// BrokerConfig::matcher — the index must win by >= 2x at >= 1k distinct
-// filters per hop.
+// MatchIndex over the same filter population. The linear scan is the
+// reference the tests hold the broker's data plane to; the index must win
+// by >= 2x at >= 1k distinct filters per hop.
 // ---------------------------------------------------------------------------
 
 /// A hop's filter population: distinct filters spread over a handful of

@@ -1,7 +1,9 @@
 // Ablation A5: routing-engine micro-benchmarks (google-benchmark) —
 // forward-set computation per strategy as the subscription population
-// grows, the per-hop forwarding decision under both matchers, and
-// end-to-end publish cost through a simulated broker chain.
+// grows; the per-hop forwarding decision and the admin-plane relations,
+// each as a *Linear/*Index pair (the reference function the tests hold
+// the broker to vs. the index the broker runs); and end-to-end publish
+// cost through a simulated broker chain.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -215,13 +217,12 @@ void BM_ForwardDiff(benchmark::State& state) {
 BENCHMARK(BM_ForwardDiff)->Arg(64)->Arg(256);
 
 /// End-to-end: one publish through an 8-broker chain with 32 consumers,
-/// measured in simulated events per publish, under either matcher.
+/// per routing strategy.
 void BM_PublishThroughChain(benchmark::State& state) {
   const auto strategy = static_cast<routing::Strategy>(state.range(0));
   sim::Simulation sim(3);
   broker::OverlayConfig cfg;
   cfg.broker.strategy = strategy;
-  cfg.broker.matcher = static_cast<broker::Matcher>(state.range(1));
   broker::Overlay overlay(sim, net::Topology::chain(8), cfg);
 
   std::vector<std::unique_ptr<client::Client>> consumers;
@@ -248,11 +249,9 @@ void BM_PublishThroughChain(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PublishThroughChain)
-    ->ArgsProduct({{static_cast<long>(routing::Strategy::flooding),
-                    static_cast<long>(routing::Strategy::simple),
-                    static_cast<long>(routing::Strategy::covering)},
-                   {static_cast<long>(broker::Matcher::linear),
-                    static_cast<long>(broker::Matcher::index)}});
+    ->Arg(static_cast<long>(routing::Strategy::flooding))
+    ->Arg(static_cast<long>(routing::Strategy::simple))
+    ->Arg(static_cast<long>(routing::Strategy::covering));
 
 }  // namespace
 

@@ -8,14 +8,6 @@
 
 namespace rebeca::broker {
 
-const char* matcher_name(Matcher m) {
-  switch (m) {
-    case Matcher::linear: return "linear";
-    case Matcher::index: return "index";
-  }
-  return "?";
-}
-
 Broker::Broker(sim::Executor& sim, NodeId id, BrokerConfig config)
     : sim_(sim), id_(id), config_(std::move(config)) {
   lane_affinity_.bind(&sim_);
@@ -154,8 +146,8 @@ bool Broker::adv_allows(LinkId link, const filter::Filter& f) const {
 void Broker::refresh_link(net::Link& link) {
   const LinkId lid = link.id();
   const auto inputs = collect_inputs_excluding(lid);
-  auto target =
-      routing::compute_forward_set(config_.strategy, inputs, config_.admin_index);
+  auto target = routing::compute_forward_set(config_.strategy, inputs,
+                                             routing::AdminIndex::index);
 
   // Re-expose pins: filters force-exposed on this link by the moveout
   // protocol stay in the target until the covering conflict resolves —
@@ -295,66 +287,28 @@ void Broker::route_notification(const filter::Notification& n,
                                 const net::Link* from) {
   const bool flooding = config_.strategy == routing::Strategy::flooding;
 
-  if (config_.matcher == Matcher::index) {
-    // One counting query over all four planes; destinations are applied
-    // in the same canonical order as the linear scans below (links in
-    // attach order, local subs and virtuals in ascending key order), so
-    // the two matchers are byte-identical per seed.
-    index_.collect(n, match_hits_);
-    for (net::Link* link : broker_links_) {
-      if (from != nullptr && link->id() == from->id()) continue;
-      const bool forward =
-          flooding || std::binary_search(match_hits_.links.begin(),
-                                         match_hits_.links.end(), link->id());
-      if (forward) send(*link, net::PublishMsg{n});
-    }
-    for (const SubKey& key : match_hits_.locals) {
-      auto sit = sessions_.find(key.client);
-      if (sit == sessions_.end()) continue;
-      auto it = sit->second.subs.find(key.sub);
-      if (it == sit->second.subs.end()) continue;
-      deliver_to_sub(sit->second, it->second, n);
-    }
-    for (const SubKey& key : match_hits_.virtuals) {
-      auto it = virtuals_.find(key);
-      if (it == virtuals_.end()) continue;
-      buffer_to_virtual(it->second, n);
-    }
-    return;
-  }
-
-  // Forward to neighbor brokers.
+  // One counting query over all four planes; destinations are applied
+  // in canonical order: links in attach order, local subs and virtuals
+  // in ascending key order.
+  index_.collect(n, match_hits_);
   for (net::Link* link : broker_links_) {
     if (from != nullptr && link->id() == from->id()) continue;
-    bool forward = flooding;
-    if (!forward) {
-      const auto& fs = remote_[link->id()];
-      forward = std::any_of(fs.begin(), fs.end(), [&](const auto& entry) {
-        return entry.first.matches(n);
-      });
-    }
-    if (!forward) {
-      // Location-dependent state whose consumer lies beyond this link.
-      for (const auto& [key, transit] : ld_) {
-        if (transit.toward == link->id() && transit.concrete.matches(n)) {
-          forward = true;
-          break;
-        }
-      }
-    }
+    const bool forward =
+        flooding || std::binary_search(match_hits_.links.begin(),
+                                       match_hits_.links.end(), link->id());
     if (forward) send(*link, net::PublishMsg{n});
   }
-
-  // Local deliveries.
-  for (auto& [client, session] : sessions_) {
-    for (auto& [sub_id, sub] : session.subs) {
-      if (sub.concrete.matches(n)) deliver_to_sub(session, sub, n);
-    }
+  for (const SubKey& key : match_hits_.locals) {
+    auto sit = sessions_.find(key.client);
+    if (sit == sessions_.end()) continue;
+    auto it = sit->second.subs.find(key.sub);
+    if (it == sit->second.subs.end()) continue;
+    deliver_to_sub(sit->second, it->second, n);
   }
-
-  // Virtual counterparts buffer what their client would have received.
-  for (auto& [key, v] : virtuals_) {
-    if (v.f.matches(n)) buffer_to_virtual(v, n);
+  for (const SubKey& key : match_hits_.virtuals) {
+    auto it = virtuals_.find(key);
+    if (it == virtuals_.end()) continue;
+    buffer_to_virtual(it->second, n);
   }
 }
 

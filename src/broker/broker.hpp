@@ -46,28 +46,15 @@
 
 namespace rebeca::broker {
 
-/// Notification data plane: how route_notification finds destinations.
-///   linear — the historical four scans (remote sets, local subs,
-///            virtuals, LD transits), one Filter::matches per entry.
-///   index  — one MatchIndex counting query, maintained incrementally
-///            from the same table changes; destinations applied in the
-///            identical canonical order, so equal-seed runs are
-///            byte-identical under either matcher.
-enum class Matcher { linear, index };
-
-const char* matcher_name(Matcher m);
+namespace testing {
+/// Test-only audit seam (defined under tests/): re-runs the linear table
+/// scans the indexes replaced on a broker's live state and compares them
+/// with what index_ and cover_index_ answer.
+struct PlaneReference;
+}  // namespace testing
 
 struct BrokerConfig {
   routing::Strategy strategy = routing::Strategy::covering;
-  Matcher matcher = Matcher::index;
-  /// Admin plane: how covering relations are evaluated on subscription
-  /// churn, moveout planning and fetch relocation.
-  ///   linear — the reference scans (O(n²) collapse_covering, the
-  ///            covered_by table walk, the dispatch_fetch fallback).
-  ///   index  — the attribute-partitioned CoverIndex, maintained
-  ///            incrementally from the same table changes. Equal-seed
-  ///            runs are byte-identical under either.
-  routing::AdminIndex admin_index = routing::AdminIndex::index;
   /// Forward subscriptions only toward overlapping advertisements
   /// (Rebeca's advertisement-based pruning; Fig. 5 junction semantics).
   bool use_advertisements = false;
@@ -171,6 +158,8 @@ class Broker final : public net::Endpoint {
   }
 
  private:
+  friend struct testing::PlaneReference;
+
   // ---------- session-side state ----------
   struct LocalSub {
     SubKey key;
@@ -312,8 +301,7 @@ class Broker final : public net::Endpoint {
   // ---------- notification path ----------
   void route_notification(const filter::Notification& n, const net::Link* from);
   void deliver_to_sub(Session& session, LocalSub& sub, const filter::Notification& n);
-  /// Buffers a matching notification into a virtual counterpart — the
-  /// one sink both matcher paths share, so they cannot drift apart.
+  /// Buffers a matching notification into a virtual counterpart.
   void buffer_to_virtual(VirtualSub& v, const filter::Notification& n);
 
   // ---------- session/virtual helpers ----------
@@ -398,15 +386,15 @@ class Broker final : public net::Endpoint {
   std::map<LinkId, std::map<filter::Filter, std::set<SubKey>>> reexpose_pins_;
 
   /// Incremental notification match index over all four filter planes
-  /// (remote tables, local subs, virtuals, LD transits); queried by
-  /// route_notification when config_.matcher == Matcher::index.
+  /// (remote tables, local subs, virtuals, LD transits); the data plane
+  /// route_notification queries.
   routing::MatchIndex index_;
   mutable routing::MatchHits match_hits_;  // query scratch
 
   /// Admin-plane covering index over the same four planes, maintained
-  /// unconditionally next to index_ at every table mutation; queried by
-  /// refresh_link / answer_reexpose / dispatch_fetch / begin_moveout
-  /// when config_.admin_index == AdminIndex::index.
+  /// next to index_ at every table mutation; the admin plane
+  /// refresh_link / answer_reexpose / dispatch_fetch / begin_moveout /
+  /// on_fetch query.
   routing::CoverIndex cover_index_;
   mutable std::vector<LinkId> cover_links_;  // query scratch
 

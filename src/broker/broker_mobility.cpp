@@ -419,23 +419,9 @@ Broker::Junction Broker::dispatch_fetch(const SubKey& key,
   // other than `exclude`.
   Junction kind = Junction::tagged;
   std::vector<net::Link*> old_dirs;
-  if (config_.admin_index == routing::AdminIndex::index) {
-    // Inverted tag index: key → serving links, no table walk.
-    cover_index_.links_serving(key, exclude, cover_links_);
-    for (LinkId lid : cover_links_) old_dirs.push_back(links_by_id_.at(lid));
-  } else {
-    for (auto& [lid, fs] : remote_) {
-      if (lid == exclude) continue;
-      bool serves = false;
-      for (const auto& [entry_f, tags] : fs) {
-        if (tags.count(key) != 0) {
-          serves = true;
-          break;
-        }
-      }
-      if (serves) old_dirs.push_back(links_by_id_.at(lid));
-    }
-  }
+  // Inverted tag index: key → serving links, no table walk.
+  cover_index_.links_serving(key, exclude, cover_links_);
+  for (LinkId lid : cover_links_) old_dirs.push_back(links_by_id_.at(lid));
   // LD transit state is keyed exactly: its consumer direction points at
   // the subscription's previous anchor.
   if (old_dirs.empty()) {
@@ -447,20 +433,8 @@ Broker::Junction Broker::dispatch_fetch(const SubKey& key,
   }
   if (old_dirs.empty()) {
     kind = Junction::covering;
-    if (config_.admin_index == routing::AdminIndex::index) {
-      cover_index_.covering_links(f, exclude, cover_links_);
-      for (LinkId lid : cover_links_) old_dirs.push_back(links_by_id_.at(lid));
-    } else {
-      for (auto& [lid, fs] : remote_) {
-        if (lid == exclude) continue;
-        for (const auto& [entry_f, tags] : fs) {
-          if (entry_f.covers(f)) {
-            old_dirs.push_back(links_by_id_.at(lid));
-            break;
-          }
-        }
-      }
-    }
+    cover_index_.covering_links(f, exclude, cover_links_);
+    for (LinkId lid : cover_links_) old_dirs.push_back(links_by_id_.at(lid));
   }
   if (old_dirs.empty()) return Junction::none;
 
@@ -485,14 +459,11 @@ void Broker::begin_moveout(net::Link& link, const SubKey& key,
                            std::uint64_t epoch) {
   const LinkId lid = link.id();
   auto& fs = remote_[lid];
-  // Both plans see the same (filter → tag count) list in Filter order;
-  // the indexed one reads it off the cover index's per-link table
-  // instead of re-walking every entry's tag set.
-  auto program =
-      config_.admin_index == routing::AdminIndex::index
-          ? routing::plan_moveout(config_.strategy,
-                                  cover_index_.tagged_filters(lid, key))
-          : routing::plan_moveout(config_.strategy, key, fs);
+  // The (filter → tag count) candidates in Filter order, read off the
+  // cover index's per-link table instead of re-walking every entry's
+  // tag set.
+  auto program = routing::plan_moveout(config_.strategy,
+                                       cover_index_.tagged_filters(lid, key));
   if (program.empty()) return;
   const bool two_phase =
       config_.uncover_before_prune && program.ack_barriers > 0;
@@ -601,21 +572,10 @@ void Broker::answer_reexpose(net::Link& to, const SubKey& key,
                              const filter::Filter& f, std::uint64_t epoch) {
   const LinkId lid = to.id();
   // The re-expose set: every forwarding input toward `to` that f covers
-  // (the covered_by query over this broker's tables — remote hops, local
-  // sessions, virtual counterparts, via the same collect_inputs_excluding
-  // the forward-set computation uses, so the two can never drift) minus
-  // the mover's own tag and whatever is already on the wire.
-  routing::ForwardSet expose;
-  if (config_.admin_index == routing::AdminIndex::index) {
-    expose = cover_index_.covered_inputs(f, lid);
-  } else {
-    routing::ForwardSet inputs;
-    for (const auto& in : collect_inputs_excluding(lid)) {
-      auto& slot = inputs[in.f];
-      slot.insert(in.tags.begin(), in.tags.end());
-    }
-    expose = routing::covered_by(f, inputs);
-  }
+  // (remote hops, local sessions, virtual counterparts — the inputs the
+  // forward-set computation sees, identity-collapsed) minus the mover's
+  // own tag and whatever is already on the wire.
+  routing::ForwardSet expose = cover_index_.covered_inputs(f, lid);
 
   auto& sentfs = sent_[lid];
   for (auto& [g, tags] : expose) {
@@ -686,20 +646,8 @@ void Broker::on_fetch(net::Link& from, const net::FetchMsg& m) {
   // transit state (keyed exactly; the re-anchor flood trailing the fetch
   // re-points it, so nothing to erase here), covering fallback last.
   std::vector<net::Link*> old_dirs;
-  if (config_.admin_index == routing::AdminIndex::index) {
-    cover_index_.links_serving(m.key, from.id(), cover_links_);
-    for (LinkId lid : cover_links_) old_dirs.push_back(links_by_id_.at(lid));
-  } else {
-    for (auto& [lid, fs] : remote_) {
-      if (lid == from.id()) continue;
-      for (const auto& [entry_f, tags] : fs) {
-        if (tags.count(m.key) != 0) {
-          old_dirs.push_back(links_by_id_.at(lid));
-          break;
-        }
-      }
-    }
-  }
+  cover_index_.links_serving(m.key, from.id(), cover_links_);
+  for (LinkId lid : cover_links_) old_dirs.push_back(links_by_id_.at(lid));
   if (old_dirs.empty()) {
     auto lit = ld_.find(m.key);
     if (lit != ld_.end() && lit->second.toward != from.id()) {
@@ -708,24 +656,12 @@ void Broker::on_fetch(net::Link& from, const net::FetchMsg& m) {
     }
   }
   if (old_dirs.empty()) {
-    if (config_.admin_index == routing::AdminIndex::index) {
-      cover_index_.covering_links(m.f, from.id(), cover_links_);
-      for (LinkId lid : cover_links_) old_dirs.push_back(links_by_id_.at(lid));
-    } else {
-      for (auto& [lid, fs] : remote_) {
-        if (lid == from.id()) continue;
-        for (const auto& [f, tags] : fs) {
-          if (f.covers(m.f)) {
-            old_dirs.push_back(links_by_id_.at(lid));
-            break;
-          }
-        }
-      }
-    }
+    cover_index_.covering_links(m.f, from.id(), cover_links_);
+    for (LinkId lid : cover_links_) old_dirs.push_back(links_by_id_.at(lid));
   }
   // No dedup pass needed: the three blocks above are mutually exclusive
-  // and each pushes at most once per link while walking a LinkId-keyed
-  // map, so old_dirs is already unique and in LinkId order. (An address
+  // and each yields unique links in ascending LinkId order (the cover
+  // index answers sorted), so old_dirs is already canonical. (An address
   // sort here would let allocator layout pick the FetchMsg emission
   // order — rebeca-lint PTR-ORDER.)
   for (net::Link* link : old_dirs) {

@@ -144,6 +144,8 @@ scenario::LocationSpec parse_locations(const JsonValue& v) {
   fail("locations.kind", "unknown location graph \"" + kind + "\"");
 }
 
+}  // namespace
+
 routing::Strategy parse_strategy(const std::string& name) {
   if (name == "flooding") return routing::Strategy::flooding;
   if (name == "simple") return routing::Strategy::simple;
@@ -153,17 +155,7 @@ routing::Strategy parse_strategy(const std::string& name) {
   fail("routing", "unknown strategy \"" + name + "\"");
 }
 
-broker::Matcher parse_matcher(const std::string& name) {
-  if (name == "linear") return broker::Matcher::linear;
-  if (name == "index") return broker::Matcher::index;
-  fail("matcher", "unknown matcher \"" + name + "\"");
-}
-
-routing::AdminIndex parse_admin_index(const std::string& name) {
-  if (name == "linear") return routing::AdminIndex::linear;
-  if (name == "index") return routing::AdminIndex::index;
-  fail("admin_index", "unknown admin index \"" + name + "\"");
-}
+namespace {
 
 /// Validated millisecond field: the DelayModel factories REBECA_ASSERT
 /// their ranges and sim::millis casts double -> int64, so hostile
@@ -204,23 +196,41 @@ sim::DelayModel parse_delay(const JsonValue& v, const std::string& where) {
   fail(where + ".kind", "unknown delay model \"" + kind + "\"");
 }
 
+/// A "broker" duration field in milliseconds, range-checked like a delay.
+sim::Duration duration_field(const JsonValue& v, const std::string& key,
+                             sim::Duration fallback) {
+  return sim::millis(
+      delay_ms(v.number_or(key, sim::to_millis(fallback)), "broker." + key));
+}
+
+/// A "broker" count field; negative counts would wrap to huge sizes.
+std::size_t count_field(const JsonValue& v, const std::string& key,
+                        std::size_t fallback) {
+  const std::int64_t n = v.int_or(key, static_cast<std::int64_t>(fallback));
+  if (n < 0) fail("broker." + key, "must be >= 0");
+  return static_cast<std::size_t>(n);
+}
+
+}  // namespace
+
 broker::BrokerConfig parse_broker(const JsonValue& v,
                                   broker::BrokerConfig base) {
   base.use_advertisements =
       v.bool_or("use_advertisements", base.use_advertisements);
-  base.session_history = static_cast<std::size_t>(
-      v.int_or("session_history", static_cast<std::int64_t>(base.session_history)));
-  base.virtual_capacity = static_cast<std::size_t>(v.int_or(
-      "virtual_capacity", static_cast<std::int64_t>(base.virtual_capacity)));
-  base.virtual_ttl =
-      sim::millis(v.number_or("virtual_ttl_ms", sim::to_millis(base.virtual_ttl)));
-  base.relocation_timeout = sim::millis(v.number_or(
-      "relocation_timeout_ms", sim::to_millis(base.relocation_timeout)));
+  base.session_history =
+      count_field(v, "session_history", base.session_history);
+  base.virtual_capacity =
+      count_field(v, "virtual_capacity", base.virtual_capacity);
+  base.virtual_ttl = duration_field(v, "virtual_ttl_ms", base.virtual_ttl);
+  base.relocation_timeout =
+      duration_field(v, "relocation_timeout_ms", base.relocation_timeout);
   base.ld_presubscribe = v.bool_or("ld_presubscribe", base.ld_presubscribe);
-  base.ld_widen_interval = sim::millis(v.number_or(
-      "ld_widen_interval_ms", sim::to_millis(base.ld_widen_interval)));
+  base.ld_widen_interval =
+      duration_field(v, "ld_widen_interval_ms", base.ld_widen_interval);
   return base;
 }
+
+namespace {
 
 location::UncertaintyProfile parse_profile(const JsonValue& v,
                                            const std::string& where) {
@@ -490,13 +500,6 @@ void apply_config(const JsonValue& root, ScenarioBuilder& b) {
   }
   if (const JsonValue* routing = root.find("routing")) {
     overlay.broker.strategy = parse_strategy(routing->as_string("routing"));
-  }
-  if (const JsonValue* matcher = root.find("matcher")) {
-    overlay.broker.matcher = parse_matcher(matcher->as_string("matcher"));
-  }
-  if (const JsonValue* admin = root.find("admin_index")) {
-    overlay.broker.admin_index =
-        parse_admin_index(admin->as_string("admin_index"));
   }
   if (const JsonValue* d = root.find("broker_link_delay")) {
     overlay.broker_link_delay = parse_delay(*d, "broker_link_delay");

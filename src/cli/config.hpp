@@ -43,6 +43,14 @@ struct RunSpec {
 [[nodiscard]] filter::Notification parse_notification(const JsonValue& v,
                                                       const std::string& where);
 
+// ---- shared with the rebeca-node loader (node_config.cpp) ----
+/// A routing strategy name ("flooding" ... "merging").
+[[nodiscard]] routing::Strategy parse_strategy(const std::string& name);
+/// The "broker" stanza over `base`: durations must lie in [0, 1e12] ms
+/// and counts must be >= 0, or JsonError names the field.
+[[nodiscard]] broker::BrokerConfig parse_broker(const JsonValue& v,
+                                                broker::BrokerConfig base);
+
 }  // namespace rebeca::cli
 
 #endif  // REBECA_CLI_CONFIG_HPP

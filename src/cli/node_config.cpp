@@ -18,8 +18,8 @@ namespace {
   throw JsonError(where.empty() ? what : where + ": " + what);
 }
 
-// Small duplicates of rebeca_run's scenario-level parsers: those build
-// ScenarioBuilder specs; the node runtime needs the raw engine types.
+// The topology parser duplicates rebeca_run's: that one builds a
+// ScenarioBuilder spec; the node runtime needs the raw engine type.
 
 net::Topology parse_topology(const JsonValue& v) {
   const std::string kind = v.string_or("kind", "chain");
@@ -38,40 +38,6 @@ net::Topology parse_topology(const JsonValue& v) {
     return net::Topology::random_tree(size, rng);
   }
   fail("topology.kind", "unknown topology \"" + kind + "\"");
-}
-
-routing::Strategy parse_strategy(const std::string& name) {
-  if (name == "flooding") return routing::Strategy::flooding;
-  if (name == "simple") return routing::Strategy::simple;
-  if (name == "identity") return routing::Strategy::identity;
-  if (name == "covering") return routing::Strategy::covering;
-  if (name == "merging") return routing::Strategy::merging;
-  fail("routing", "unknown strategy \"" + name + "\"");
-}
-
-broker::Matcher parse_matcher(const std::string& name) {
-  if (name == "linear") return broker::Matcher::linear;
-  if (name == "index") return broker::Matcher::index;
-  fail("matcher", "unknown matcher \"" + name + "\"");
-}
-
-routing::AdminIndex parse_admin_index(const std::string& name) {
-  if (name == "linear") return routing::AdminIndex::linear;
-  if (name == "index") return routing::AdminIndex::index;
-  fail("admin_index", "unknown admin index \"" + name + "\"");
-}
-
-void parse_broker(const JsonValue& v, broker::BrokerConfig& base) {
-  base.use_advertisements =
-      v.bool_or("use_advertisements", base.use_advertisements);
-  base.session_history = static_cast<std::size_t>(v.int_or(
-      "session_history", static_cast<std::int64_t>(base.session_history)));
-  base.virtual_capacity = static_cast<std::size_t>(v.int_or(
-      "virtual_capacity", static_cast<std::int64_t>(base.virtual_capacity)));
-  base.virtual_ttl = sim::millis(
-      v.number_or("virtual_ttl_ms", sim::to_millis(base.virtual_ttl)));
-  base.relocation_timeout = sim::millis(v.number_or(
-      "relocation_timeout_ms", sim::to_millis(base.relocation_timeout)));
 }
 
 /// Phase name → [start, end) in virtual time.
@@ -208,16 +174,10 @@ transport::NodeSpec parse_node_config(const std::string& json_text) {
     spec.topology = parse_topology(*topo);
   }
   if (const JsonValue* br = root.find("broker")) {
-    parse_broker(*br, spec.broker);
+    spec.broker = parse_broker(*br, spec.broker);
   }
   if (const JsonValue* routing = root.find("routing")) {
     spec.broker.strategy = parse_strategy(routing->as_string("routing"));
-  }
-  if (const JsonValue* matcher = root.find("matcher")) {
-    spec.broker.matcher = parse_matcher(matcher->as_string("matcher"));
-  }
-  if (const JsonValue* admin = root.find("admin_index")) {
-    spec.broker.admin_index = parse_admin_index(admin->as_string("admin_index"));
   }
 
   const auto phases = parse_phases(root, spec.total_duration);

@@ -28,14 +28,6 @@ int usage(const char* argv0, int code) {
      << "  --shards N         override intra-scenario shards (config \"shards\");\n"
      << "                     N >= 1 selects the sharded engine, whose equal-seed\n"
      << "                     reports are byte-identical for any N\n"
-     << "  --matcher M        override the notification data plane (config\n"
-     << "                     \"matcher\"): \"index\" (counting match index,\n"
-     << "                     default) or \"linear\" (reference scans); equal-seed\n"
-     << "                     reports are byte-identical under either\n"
-     << "  --admin-index A    override the admin plane (config \"admin_index\"):\n"
-     << "                     \"index\" (covering index, default) or \"linear\"\n"
-     << "                     (reference scans); equal-seed reports are\n"
-     << "                     byte-identical under either\n"
      << "  --report           print every per-seed scenario report\n"
      << "  --csv              print the aggregate as CSV (metric per row)\n"
      << "  --csv-runs         print per-seed metric rows as CSV\n"
@@ -67,8 +59,6 @@ int main(int argc, char** argv) {
   long override_threads = -1;
   long override_shards = -1;
   double override_checkpoint_ms = -1;
-  std::string override_matcher;
-  std::string override_admin_index;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -107,26 +97,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--checkpoint-ms") {
       if (!next_number(n) || n <= 0) return usage(argv[0], 2);
       override_checkpoint_ms = static_cast<double>(n);
-    } else if (arg == "--matcher") {
-      if (i + 1 >= argc) {
-        std::cerr << arg << " needs a value\n";
-        return usage(argv[0], 2);
-      }
-      override_matcher = argv[++i];
-      if (override_matcher != "linear" && override_matcher != "index") {
-        std::cerr << "--matcher takes \"linear\" or \"index\"\n";
-        return usage(argv[0], 2);
-      }
-    } else if (arg == "--admin-index") {
-      if (i + 1 >= argc) {
-        std::cerr << arg << " needs a value\n";
-        return usage(argv[0], 2);
-      }
-      override_admin_index = argv[++i];
-      if (override_admin_index != "linear" && override_admin_index != "index") {
-        std::cerr << "--admin-index takes \"linear\" or \"index\"\n";
-        return usage(argv[0], 2);
-      }
     } else if (!arg.empty() && arg[0] == '-') {
       std::cerr << "unknown option " << arg << "\n";
       return usage(argv[0], 2);
@@ -168,26 +138,6 @@ int main(int argc, char** argv) {
       b.checkpoint_every(rebeca::sim::millis(ms));
     };
     spec.has_checkpoints = true;
-  }
-  if (!override_matcher.empty()) {
-    const auto base = spec.declare;
-    const auto matcher = override_matcher == "linear"
-                             ? rebeca::broker::Matcher::linear
-                             : rebeca::broker::Matcher::index;
-    spec.declare = [base, matcher](rebeca::scenario::ScenarioBuilder& b) {
-      base(b);
-      b.matcher(matcher);
-    };
-  }
-  if (!override_admin_index.empty()) {
-    const auto base = spec.declare;
-    const auto admin = override_admin_index == "linear"
-                           ? rebeca::routing::AdminIndex::linear
-                           : rebeca::routing::AdminIndex::index;
-    spec.declare = [base, admin](rebeca::scenario::ScenarioBuilder& b) {
-      base(b);
-      b.admin_index(admin);
-    };
   }
   // Fail before the sweep runs, not after a multi-minute run.
   if (csv_series && !spec.has_checkpoints) {

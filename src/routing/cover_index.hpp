@@ -174,8 +174,8 @@ class CoverEngine {
 
 /// The broker-facing covering index: CoverEngine plus the four broker
 /// planes and the consumer-shaped queries the admin plane asks.
-/// Maintained unconditionally next to MatchIndex; the admin_index knob
-/// gates only whether queries go through it or the linear reference.
+/// Maintained next to MatchIndex at every table mutation; the broker's
+/// only admin plane (tests re-run the linear scans as its oracle).
 class CoverIndex {
  public:
   // --- remote plane: routing-table entries, keyed (link, filter) ---

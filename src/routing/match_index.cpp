@@ -389,6 +389,17 @@ bool MatchIndex::interval_admits(const Interval& iv, const Value& v) {
   return true;
 }
 
+void MatchIndex::count_exact_matches(const filter::Notification& n) const {
+  ++query_stamp_;  // drop the partial counts
+  touched_.clear();
+  for (std::uint32_t slot = 0; slot < entries_.size(); ++slot) {
+    const Entry& e = entries_[slot];
+    if (!e.alive || e.f.empty() || !e.f.matches(n)) continue;
+    hits_[slot] = Hit{query_stamp_, term_counts_[slot]};
+    touched_.push_back(slot);
+  }
+}
+
 void MatchIndex::collect(const filter::Notification& n, MatchHits& out) const {
   out.clear();
   ++query_stamp_;
@@ -399,6 +410,10 @@ void MatchIndex::collect(const filter::Notification& n, MatchHits& out) const {
     if (id >= buckets_.size()) continue;
     const Bucket& b = buckets_[id];
     const Value& v = attr.value;
+    if (v.is_nan()) {
+      count_exact_matches(n);
+      break;
+    }
     const int cls = value_class(v);
 
     // Equality postings: one normalized probe (borrowing the string, no

@@ -25,12 +25,16 @@
 //     per-entry hit counter for every satisfied constraint (epoch
 //     stamps, so no O(entries) clear per query), and emits the entries
 //     whose count equals their constraint count — plus the empty
-//     filters, which match everything.
+//     filters, which match everything;
+//   * a notification carrying a NaN value (equal to every number, which
+//     no key or bound order expresses) is matched by Filter::matches
+//     over the live entries instead.
 //
 // The result is a MatchHits of destination handles per plane; the broker
 // orders them canonically (links in attach order, local subs and
-// virtuals in key order), so the index-driven route is byte-identical to
-// the linear scans it replaces.
+// virtuals in key order). The index is the broker's only data plane; the
+// linear scans it replaced live on as test oracles (match_index_test's
+// mirror, matcher_equivalence_test's per-broker audit).
 #ifndef REBECA_ROUTING_MATCH_INDEX_HPP
 #define REBECA_ROUTING_MATCH_INDEX_HPP
 
@@ -182,6 +186,12 @@ class MatchIndex {
   void upsert_keyed(std::map<SubKey, std::uint32_t>& slots, Entry entry);
   void remove_keyed(std::map<SubKey, std::uint32_t>& slots, const SubKey& key);
   void bump(std::uint32_t slot) const;
+  /// NaN compares equal to every number (Value::compare), which neither
+  /// the equality keys nor the ordered bound lists can express. For a
+  /// notification with a NaN on an indexed attribute, collect() replaces
+  /// its partial counts with Filter::matches over the live non-empty
+  /// entries, recorded as complete counts.
+  void count_exact_matches(const filter::Notification& n) const;
   static bool interval_admits(const Interval& iv, const filter::Value& v);
 
   std::vector<Entry> entries_;

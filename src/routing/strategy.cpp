@@ -18,14 +18,6 @@ const char* strategy_name(Strategy s) {
   return "?";
 }
 
-const char* admin_index_name(AdminIndex a) {
-  switch (a) {
-    case AdminIndex::linear: return "linear";
-    case AdminIndex::index: return "index";
-  }
-  return "?";
-}
-
 namespace {
 
 /// identity collapse: group structurally equal filters, union their tags.

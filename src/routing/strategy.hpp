@@ -35,15 +35,11 @@ enum class Strategy { flooding, simple, identity, covering, merging };
 
 const char* strategy_name(Strategy s);
 
-/// How the admin plane evaluates covering relations: `linear` keeps the
-/// reference scans (the O(n²) collapse_covering pass and the
-/// covered_by/junction table walks); `index` routes them through the
-/// attribute-partitioned CoverIndex. Equal-seed runs are byte-identical
-/// under either — the index is an exact replica of the linear decision
-/// procedure, and equivalence tests enforce it.
+/// How compute_forward_set evaluates the covering pass: `linear` is the
+/// O(n²) pairwise reference scan; `index` answers the same relation
+/// through CoverEngine queries. Brokers always use `index`; `linear`
+/// stays as the reference that tests and benches compare against.
 enum class AdminIndex { linear, index };
-
-const char* admin_index_name(AdminIndex a);
 
 /// One subscription as seen by the forwarding computation.
 struct ForwardInput {

@@ -312,14 +312,6 @@ ScenarioBuilder& ScenarioBuilder::routing(routing::Strategy strategy) {
   overlay_.broker.strategy = strategy;
   return *this;
 }
-ScenarioBuilder& ScenarioBuilder::matcher(broker::Matcher matcher) {
-  overlay_.broker.matcher = matcher;
-  return *this;
-}
-ScenarioBuilder& ScenarioBuilder::admin_index(routing::AdminIndex admin_index) {
-  overlay_.broker.admin_index = admin_index;
-  return *this;
-}
 ScenarioBuilder& ScenarioBuilder::broker_link_delay(sim::DelayModel delay) {
   overlay_.broker_link_delay = delay;
   return *this;
@@ -663,7 +655,8 @@ void Scenario::detach(const std::string& name, bool graceful) {
   }
 }
 
-bool Scenario::run_next_phase() {
+bool Scenario::run_next_phase(sim::Duration step,
+                              const std::function<void()>& between) {
   if (next_phase_ >= phases_.size()) return false;
   const Phase& p = phases_[next_phase_];
   {
@@ -681,7 +674,12 @@ bool Scenario::run_next_phase() {
       if (m.walk) m.walk->start();
     }
   }
-  advance_to(now() + p.duration);
+  const sim::TimePoint end = now() + p.duration;
+  while (step > 0 && end - now() > step) {
+    advance_to(now() + step);
+    if (between) between();
+  }
+  advance_to(end);
   {
     ControlScope scope(*this);
     for (BoundPublisher& b : publishers_) {

@@ -304,14 +304,6 @@ class ScenarioBuilder {
   ScenarioBuilder& overlay(broker::OverlayConfig config);
   ScenarioBuilder& broker(broker::BrokerConfig config);
   ScenarioBuilder& routing(routing::Strategy strategy);
-  /// Notification data plane: Matcher::index (default, the counting
-  /// MatchIndex) or Matcher::linear (the four reference scans). Equal
-  /// seeds produce byte-identical reports under either.
-  ScenarioBuilder& matcher(broker::Matcher matcher);
-  /// Admin plane: AdminIndex::index (default, the CoverIndex) or
-  /// AdminIndex::linear (the reference covering/covered-by scans).
-  /// Equal seeds produce byte-identical reports under either.
-  ScenarioBuilder& admin_index(routing::AdminIndex admin_index);
   ScenarioBuilder& broker_link_delay(sim::DelayModel delay);
   ScenarioBuilder& client_link_delay(sim::DelayModel delay);
   /// Declares a client — or, when the name is already declared, returns
@@ -443,7 +435,11 @@ class Scenario {
 
   // ---- phased schedule ----
   /// Runs the next declared phase to its end; false when none remain.
-  bool run_next_phase();
+  /// With `step` > 0 the phase advances in slices of at most `step` and
+  /// `between` runs at each inner slice boundary (tests audit live
+  /// broker state there while the engine is quiescent).
+  bool run_next_phase(sim::Duration step = 0,
+                      const std::function<void()>& between = nullptr);
   /// Runs all remaining phases.
   void run();
   [[nodiscard]] std::size_t phases_remaining() const {

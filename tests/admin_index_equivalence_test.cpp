@@ -1,74 +1,23 @@
-// The acceptance bar of the admin-plane covering index: for every
-// checked-in example config, equal-seed ScenarioReports are
-// byte-identical between --admin-index linear and --admin-index index —
-// on the classic kernel and on the sharded engine at shards 1 and 4,
-// and under both notification matchers (the two knobs are independent
-// planes and must compose).
+// The admin plane against its linear reference: on every broker's live
+// tables, CoverIndex's links_serving / covering_links / tagged_filters /
+// covered_inputs and the indexed forward set agree with the table scans
+// and the two-argument compute_forward_set they replaced (see
+// tests/plane_reference.hpp).
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <filesystem>
-#include <string>
-#include <vector>
-
-#include "src/cli/config.hpp"
-#include "src/scenario/sweep.hpp"
+#include "tests/plane_reference.hpp"
 
 namespace rebeca {
 namespace {
 
-std::vector<std::string> example_configs() {
-  const std::filesystem::path dir =
-      std::filesystem::path(REBECA_SOURCE_DIR) / "examples" / "configs";
-  std::vector<std::string> paths;
-  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    if (entry.path().extension() == ".json") {
-      paths.push_back(entry.path().string());
-    }
-  }
-  std::sort(paths.begin(), paths.end());
-  return paths;
+using testutil::Plane;
+
+TEST(AdminIndexEquivalence, IndexAgreesWithLinearScansOnEveryExampleConfig) {
+  testutil::audit_example_configs(Plane::admin);
 }
 
-std::string run_report(const cli::RunSpec& spec, routing::AdminIndex admin,
-                       broker::Matcher matcher, std::size_t shards) {
-  scenario::ScenarioSweep sweep(
-      [&spec, admin, matcher](scenario::ScenarioBuilder& b) {
-        spec.declare(b);
-        b.admin_index(admin);
-        b.matcher(matcher);
-      });
-  scenario::SweepConfig cfg;
-  cfg.seeds = {11};
-  cfg.threads = 1;
-  cfg.shards = shards;
-  const scenario::SweepResult result = sweep.run(cfg);
-  return result.reports.at(0).to_string();
-}
-
-TEST(AdminIndexEquivalence, ByteIdenticalReportsOnEveryExampleConfig) {
-  const auto configs = example_configs();
-  ASSERT_FALSE(configs.empty());
-  for (const std::string& path : configs) {
-    SCOPED_TRACE(path);
-    const cli::RunSpec spec = cli::load_config(path);
-    // Classic kernel plus the sharded engine at 1 and 4 shards; within
-    // each engine mode the two admin planes must agree byte for byte,
-    // under either notification matcher.
-    for (const std::size_t shards : {std::size_t{0}, std::size_t{1},
-                                     std::size_t{4}}) {
-      for (const broker::Matcher matcher :
-           {broker::Matcher::linear, broker::Matcher::index}) {
-        SCOPED_TRACE("shards=" + std::to_string(shards) + " matcher=" +
-                     broker::matcher_name(matcher));
-        const std::string linear =
-            run_report(spec, routing::AdminIndex::linear, matcher, shards);
-        const std::string index =
-            run_report(spec, routing::AdminIndex::index, matcher, shards);
-        EXPECT_EQ(linear, index);
-      }
-    }
-  }
+TEST(AdminIndexEquivalence, IndexAgreesUnderEveryAggregationWithLocationDependentClients) {
+  testutil::audit_aggregation_scenario(Plane::admin);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 
 #include "src/cli/config.hpp"
 #include "src/cli/json.hpp"
+#include "src/cli/node_config.hpp"
 
 namespace rebeca {
 namespace {
@@ -168,6 +169,54 @@ TEST(Config, HostileDelaysAreCleanErrorsNotAsserts) {
     "clients": [{"name": "c", "id": 1, "broker": 0}],
     "phases": [{"name": "p", "duration_ms": 1}]
   })"));
+}
+
+TEST(Config, HostileBrokerTuningIsRejectedByBothLoaders) {
+  // The "broker" stanza is parsed by one shared parse_broker for both
+  // rebeca-run and rebeca-node. Negative durations used to reach the
+  // executor's delay assert, huge ones the UB double->int64 cast in
+  // sim::millis, and negative counts wrapped to huge size_t capacities.
+  const std::string rest = R"(,
+    "clients": [{"name": "c", "id": 1, "broker": 0}],
+    "phases": [{"name": "p", "duration_ms": 1}]})";
+  const std::pair<const char*, const char*> hostile[] = {
+      {"relocation_timeout_ms", "-5"},  {"relocation_timeout_ms", "1e300"},
+      {"virtual_ttl_ms", "-1"},         {"virtual_ttl_ms", "1e13"},
+      {"ld_widen_interval_ms", "-0.5"}, {"ld_widen_interval_ms", "1e300"},
+      {"session_history", "-1"},        {"virtual_capacity", "-3"},
+  };
+  for (const auto& [field, value] : hostile) {
+    const std::string doc = std::string(R"({"broker": {")") + field +
+                            "\": " + value + "}" + rest;
+    SCOPED_TRACE(doc);
+    for (const bool node : {false, true}) {
+      try {
+        if (node) {
+          (void)cli::parse_node_config(doc);
+        } else {
+          (void)cli::parse_config(doc);
+        }
+        ADD_FAILURE() << "expected JsonError (node=" << node << ")";
+      } catch (const JsonError& e) {
+        EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+            << e.what();
+      }
+    }
+  }
+
+  // The in-range bounds still parse, through both loaders alike.
+  const std::string ok = R"({"broker": {
+      "relocation_timeout_ms": 0, "virtual_ttl_ms": 1e12,
+      "ld_widen_interval_ms": 250, "ld_presubscribe": true,
+      "session_history": 0, "virtual_capacity": 7})" + rest;
+  EXPECT_NO_THROW((void)cli::parse_config(ok));
+  const transport::NodeSpec spec = cli::parse_node_config(ok);
+  EXPECT_EQ(spec.broker.relocation_timeout, 0);
+  EXPECT_EQ(spec.broker.virtual_ttl, sim::millis(1e12));
+  EXPECT_EQ(spec.broker.ld_widen_interval, sim::millis(250));
+  EXPECT_TRUE(spec.broker.ld_presubscribe);
+  EXPECT_EQ(spec.broker.session_history, 0u);
+  EXPECT_EQ(spec.broker.virtual_capacity, 7u);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,11 +1,11 @@
 // CoverIndex correctness: the counting covering/overlap index must agree
 // with naive linear Filter::covers / overlaps scans on every corpus we
 // can generate — across every routing strategy's forward-set shapes,
-// across all four broker planes, and across incremental churn. The
-// broker-level byte-identity of --admin-index linear vs index rests on
-// this agreement (and on collapse_covering_indexed reproducing the
-// reference pass's tie-breaks exactly, tested here at the strategy
-// layer).
+// across all four broker planes, and across incremental churn. The index
+// is the broker's only admin plane, so its routing rests on this
+// agreement (and on collapse_covering_indexed reproducing the reference
+// pass's tie-breaks exactly, tested here at the strategy layer);
+// admin_index_equivalence_test re-checks it on live broker tables.
 #include <gtest/gtest.h>
 
 #include <algorithm>

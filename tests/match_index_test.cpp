@@ -2,8 +2,9 @@
 // linear Filter::matches scans on every corpus we can generate — across
 // every routing strategy's forward-set shapes, across all four entry
 // planes, and across incremental churn (add/remove interleaved with
-// queries). The broker-level byte-identity of --matcher linear vs
-// --matcher index rests on this agreement.
+// queries). The index is the broker's only data plane, so this
+// agreement is what keeps the broker's routing exact
+// (matcher_equivalence_test re-checks it on live broker tables).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -108,11 +109,15 @@ Filter random_filter(util::Rng& rng) {
   return f;
 }
 
+/// Notifications carry, now and then, a NaN value: a TCP client can
+/// publish one (the wire decodes raw f64 bits), and NaN compares equal to
+/// every number.
 Notification random_notification(util::Rng& rng) {
   Notification n;
   const std::size_t count = rng.index(5);
   for (std::size_t i = 0; i < count; ++i) {
-    n.set(rng.pick(attr_pool()), random_value(rng));
+    n.set(rng.pick(attr_pool()),
+          rng.bernoulli(1.0 / 16) ? Value(std::nan("")) : random_value(rng));
   }
   return n;
 }
@@ -432,6 +437,49 @@ TEST(MatchIndex, InSetWithLossyOrNaNMemberStaysExact) {
   EXPECT_EQ(clients(Notification().set("x", 5)), V({1, 2, 3}));
   EXPECT_EQ(clients(Notification().set("x", "s")), V({2}));
   EXPECT_EQ(clients(Notification().set("x", "t")), V{});
+}
+
+TEST(MatchIndex, NaNNotificationValueMatchesLikeFilterMatches) {
+  // NaN compares equal to every number (Value::compare), so an eq term
+  // on any number matches it, and so does every non-strict bound. The
+  // equality keys cannot find NaN, and the descending upper-bound scan
+  // used to stop at the strict `lt 5` before it reached `le 3`.
+  const auto check = [](const std::vector<Filter>& filters) {
+    MatchIndex index;
+    Mirror mirror;
+    for (std::size_t i = 0; i < filters.size(); ++i) {
+      const LinkId link(static_cast<std::uint32_t>(i + 1));
+      index.add_remote(link, filters[i]);
+      mirror.remote[link].push_back(filters[i]);
+    }
+    for (const char* attr : {"x", "y"}) {
+      const Notification n = Notification().set(attr, std::nan(""));
+      MatchHits hits;
+      index.collect(n, hits);
+      expect_same(mirror.collect(n), hits, n);
+    }
+  };
+  Filter eq1, eq2;
+  eq1.where("x", Constraint::eq(1));
+  eq2.where("x", Constraint::eq(2));
+  check({eq1, eq2});
+  Filter lt5, le3;
+  lt5.where("y", Constraint::lt(5));
+  le3.where("y", Constraint::le(3));
+  check({lt5, le3});
+
+  // The same two cases, spelled out: both eq filters match, and le 3
+  // matches while lt 5 does not.
+  MatchIndex index;
+  index.add_remote(LinkId(1), eq1);
+  index.add_remote(LinkId(2), eq2);
+  index.add_remote(LinkId(3), lt5);
+  index.add_remote(LinkId(4), le3);
+  MatchHits hits;
+  index.collect(Notification().set("x", std::nan("")), hits);
+  EXPECT_EQ(hits.links, std::vector<LinkId>({LinkId(1), LinkId(2)}));
+  index.collect(Notification().set("y", std::nan("")), hits);
+  EXPECT_EQ(hits.links, std::vector<LinkId>({LinkId(4)}));
 }
 
 TEST(MatchIndex, DrainLeavesNoPostingsBehind) {

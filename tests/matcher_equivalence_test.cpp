@@ -1,66 +1,23 @@
-// The acceptance bar of the matcher redesign: for every checked-in
-// example config, equal-seed ScenarioReports are byte-identical between
-// --matcher linear and --matcher index — on the classic kernel and on
-// the sharded engine at shards 1 and 4.
+// The data plane against its linear reference: on every broker's live
+// tables, MatchIndex::collect returns the same links, local
+// subscriptions and virtual counterparts as a Filter::matches scan of
+// those tables, for every notification published so far plus NaN and
+// filter-boundary variants (see tests/plane_reference.hpp).
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <filesystem>
-#include <string>
-#include <vector>
-
-#include "src/cli/config.hpp"
-#include "src/scenario/sweep.hpp"
+#include "tests/plane_reference.hpp"
 
 namespace rebeca {
 namespace {
 
-std::vector<std::string> example_configs() {
-  const std::filesystem::path dir =
-      std::filesystem::path(REBECA_SOURCE_DIR) / "examples" / "configs";
-  std::vector<std::string> paths;
-  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    if (entry.path().extension() == ".json") {
-      paths.push_back(entry.path().string());
-    }
-  }
-  std::sort(paths.begin(), paths.end());
-  return paths;
+using testutil::Plane;
+
+TEST(MatcherEquivalence, IndexAgreesWithLinearScansOnEveryExampleConfig) {
+  testutil::audit_example_configs(Plane::data);
 }
 
-std::string run_report(const cli::RunSpec& spec, broker::Matcher matcher,
-                       std::size_t shards) {
-  scenario::ScenarioSweep sweep(
-      [&spec, matcher](scenario::ScenarioBuilder& b) {
-        spec.declare(b);
-        b.matcher(matcher);
-      });
-  scenario::SweepConfig cfg;
-  cfg.seeds = {11};
-  cfg.threads = 1;
-  cfg.shards = shards;
-  const scenario::SweepResult result = sweep.run(cfg);
-  return result.reports.at(0).to_string();
-}
-
-TEST(MatcherEquivalence, ByteIdenticalReportsOnEveryExampleConfig) {
-  const auto configs = example_configs();
-  ASSERT_FALSE(configs.empty());
-  for (const std::string& path : configs) {
-    SCOPED_TRACE(path);
-    const cli::RunSpec spec = cli::load_config(path);
-    // Classic kernel plus the sharded engine at 1 and 4 shards; each
-    // engine mode is its own deterministic sample, and within each the
-    // two matchers must agree byte for byte.
-    for (const std::size_t shards : {std::size_t{0}, std::size_t{1},
-                                     std::size_t{4}}) {
-      SCOPED_TRACE("shards=" + std::to_string(shards));
-      const std::string linear =
-          run_report(spec, broker::Matcher::linear, shards);
-      const std::string index = run_report(spec, broker::Matcher::index, shards);
-      EXPECT_EQ(linear, index);
-    }
-  }
+TEST(MatcherEquivalence, IndexAgreesUnderEveryAggregationWithLocationDependentClients) {
+  testutil::audit_aggregation_scenario(Plane::data);
 }
 
 }  // namespace
