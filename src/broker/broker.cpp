@@ -97,43 +97,6 @@ void Broker::handle_message(net::Link& from, const net::Message& msg) {
 // Forwarding machinery
 // ---------------------------------------------------------------------------
 
-std::vector<routing::ForwardInput> Broker::collect_inputs_excluding(
-    LinkId exclude) const {
-  if (inputs_dirty_) {
-    inputs_cache_.clear();
-    // Neighbor subscriptions (subscribers beyond other links).
-    for (const auto& [link, fs] : remote_) {
-      for (const auto& [f, tags] : fs) {
-        inputs_cache_.push_back({true, link, {f, tags}});
-      }
-    }
-    // Local client subscriptions. Location-dependent subscriptions
-    // propagate through their own plane (LdSubscribeMsg carries per-hop
-    // instantiations), so they are not generic inputs.
-    for (const auto& [client, session] : sessions_) {
-      for (const auto& [sub_id, sub] : session.subs) {
-        if (sub.is_ld()) continue;
-        inputs_cache_.push_back({false, LinkId{}, {sub.concrete, {sub.key}}});
-      }
-    }
-    // Virtual counterparts keep the old delivery path alive until fetched.
-    for (const auto& [key, v] : virtuals_) {
-      if (v.ld) continue;
-      inputs_cache_.push_back({false, LinkId{}, {v.f, {key}}});
-    }
-    inputs_dirty_ = false;
-  }
-  // The per-link exclude is a filter pass over the cached list, in the
-  // cached (= historical scan) order.
-  std::vector<routing::ForwardInput> inputs;
-  inputs.reserve(inputs_cache_.size());
-  for (const CachedInput& ci : inputs_cache_) {
-    if (ci.remote && ci.origin == exclude) continue;
-    inputs.push_back(ci.in);
-  }
-  return inputs;
-}
-
 bool Broker::adv_allows(LinkId link, const filter::Filter& f) const {
   if (!config_.use_advertisements) return true;
   for (const auto& [id, adv] : advs_) {
@@ -145,7 +108,7 @@ bool Broker::adv_allows(LinkId link, const filter::Filter& f) const {
 
 void Broker::refresh_link(net::Link& link) {
   const LinkId lid = link.id();
-  const auto inputs = collect_inputs_excluding(lid);
+  const auto inputs = cover_index_.forward_inputs(lid);
   auto target = routing::compute_forward_set(config_.strategy, inputs,
                                              routing::AdminIndex::index);
 
@@ -229,7 +192,6 @@ void Broker::on_subscribe(net::Link& from, const net::SubscribeMsg& m) {
   if (fs.find(m.f) == fs.end()) index_.add_remote(from.id(), m.f);
   fs[m.f] = m.tags;  // tag-only upserts leave the match index untouched
   cover_index_.upsert_remote(from.id(), m.f, m.tags);
-  invalidate_inputs();
   refresh_all_links();
 }
 
@@ -237,7 +199,6 @@ void Broker::on_unsubscribe(net::Link& from, const net::UnsubscribeMsg& m) {
   if (remote_[from.id()].erase(m.f) != 0) {
     index_.remove_remote(from.id(), m.f);
     cover_index_.remove_remote(from.id(), m.f);
-    invalidate_inputs();
   }
   refresh_all_links();
 }

@@ -152,7 +152,8 @@ class Broker final : public net::Endpoint {
   [[nodiscard]] std::size_t match_index_entries() const {
     return index_.entry_count();
   }
-  /// Live entries in the admin-plane covering index (same four planes).
+  /// Live entries in the admin-plane covering index: the forward-set
+  /// inputs (remote entries, non-LD local subs and virtuals).
   [[nodiscard]] std::size_t cover_index_entries() const {
     return cover_index_.entry_count();
   }
@@ -292,8 +293,6 @@ class Broker final : public net::Endpoint {
   void on_client_move(net::Link& from, const net::ClientMoveMsg& m);
 
   // ---------- forwarding machinery ----------
-  [[nodiscard]] std::vector<routing::ForwardInput> collect_inputs_excluding(
-      LinkId exclude) const;
   void refresh_link(net::Link& link);
   void refresh_all_links();
   [[nodiscard]] bool adv_allows(LinkId link, const filter::Filter& f) const;
@@ -391,26 +390,13 @@ class Broker final : public net::Endpoint {
   routing::MatchIndex index_;
   mutable routing::MatchHits match_hits_;  // query scratch
 
-  /// Admin-plane covering index over the same four planes, maintained
-  /// next to index_ at every table mutation; the admin plane
-  /// refresh_link / answer_reexpose / dispatch_fetch / begin_moveout /
-  /// on_fetch query.
+  /// Admin-plane covering index over the forward-set inputs (remote
+  /// tables, non-LD local subs and virtuals), maintained next to index_
+  /// at every table mutation. It is the only copy of refresh_link's
+  /// inputs, and the admin plane answer_reexpose / dispatch_fetch /
+  /// begin_moveout / on_fetch query.
   routing::CoverIndex cover_index_;
   mutable std::vector<LinkId> cover_links_;  // query scratch
-
-  /// collect_inputs_excluding historically rebuilt the ForwardInput
-  /// vector from the tables on every call — once per link per refresh,
-  /// even when nothing changed between calls. The cache keeps the full
-  /// input list (with each entry's origin link, so the per-link exclude
-  /// is a filter pass) and is invalidated by table mutations.
-  struct CachedInput {
-    bool remote = false;
-    LinkId origin;  // remote entries only
-    routing::ForwardInput in;
-  };
-  void invalidate_inputs() { inputs_dirty_ = true; }
-  mutable std::vector<CachedInput> inputs_cache_;
-  mutable bool inputs_dirty_ = true;
 
   std::uint64_t replayed_notifications_ = 0;
   std::uint64_t replay_truncated_ = 0;

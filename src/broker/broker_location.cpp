@@ -30,7 +30,6 @@ void Broker::on_ld_subscribe(net::Link& from, const net::LdSubscribeMsg& m) {
   t.concrete_set = m.spec.concrete_set(locations(), m.loc, m.hop);
   t.concrete = m.spec.concrete_filter(locations(), m.loc, m.hop);
   index_.upsert_transit(m.key, t.toward, t.concrete);
-  cover_index_.upsert_transit(m.key, t.toward, t.concrete);
   if (!inserted) {
     // Re-anchored (the consumer attached to a different border broker):
     // the state is simply upserted with the new consumer direction; the
@@ -56,7 +55,6 @@ void Broker::on_ld_unsubscribe(net::Link& from, const net::LdUnsubscribeMsg& m) 
   const std::vector<LinkId> forwarded = it->second.forwarded;
   ld_.erase(it);
   index_.remove_transit(m.key);
-  cover_index_.remove_transit(m.key);
   for (LinkId lid : forwarded) {
     auto lit = links_by_id_.find(lid);
     if (lit != links_by_id_.end()) {
@@ -83,7 +81,6 @@ void Broker::on_ld_move(net::Link& from, const net::LdMoveMsg& m) {
   t.concrete_set = std::move(next_set);
   t.concrete = t.spec.concrete_filter(locations(), m.loc, t.hop, m.extra_steps);
   index_.upsert_transit(m.key, t.toward, t.concrete);
-  cover_index_.upsert_transit(m.key, t.toward, t.concrete);
   for (LinkId lid : t.forwarded) {
     auto lit = links_by_id_.find(lid);
     if (lit != links_by_id_.end()) {
@@ -116,7 +113,6 @@ void Broker::ld_apply_move(LocalSub& sub, LocationId loc) {
   sub.concrete_set = std::move(next_set);
   sub.concrete = spec.concrete_filter(locations(), loc, 1);
   index_.upsert_local(sub.key, sub.concrete);
-  cover_index_.upsert_local(sub.key, sub.concrete, /*ld=*/true);
   for (LinkId lid : sub.ld_forwarded) {
     auto lit = links_by_id_.find(lid);
     if (lit != links_by_id_.end()) {
@@ -152,7 +148,6 @@ void Broker::widen_ld_virtual(const SubKey& key, std::uint64_t epoch) {
   v.widen_steps += 1;
   v.f = v.ld_spec.concrete_filter(locations(), v.ld_loc, 1, v.widen_steps);
   index_.upsert_virtual(key, v.f);
-  cover_index_.upsert_virtual(key, v.f, /*ld=*/true);
   ++v.ld_move_seq;
   for (LinkId lid : v.ld_forwarded) {
     auto lit = links_by_id_.find(lid);

@@ -113,8 +113,9 @@ void Broker::install_sub(Session& session, const SubKey& key,
     sub.concrete = ld.concrete_filter(locations(), loc, 1);
     sub.next_seq = last_seq + 1;
     index_.upsert_local(key, sub.concrete);
-    cover_index_.upsert_local(key, sub.concrete, /*ld=*/true);
-    invalidate_inputs();
+    // LD subscriptions are no forward-set input; drop a non-LD
+    // predecessor under the same key.
+    cover_index_.remove_local(key);
 
     if (vit != virtuals_.end()) {
       // Same-broker reconnect: replay the buffered backlog locally (the
@@ -131,7 +132,6 @@ void Broker::install_sub(Session& session, const SubKey& key,
       v.ttl_timer.cancel();
       index_.remove_virtual(key);
       cover_index_.remove_virtual(key);
-      invalidate_inputs();
       virtuals_.erase(vit);
       refresh_all_links();
     } else if (config_.ld_presubscribe && relocate && epoch > 0) {
@@ -154,10 +154,7 @@ void Broker::install_sub(Session& session, const SubKey& key,
 
     // (Re-)anchor: this border is hop 1 now; the flood upserts transit
     // state everywhere toward the new consumer direction.
-    if (ld_.erase(key) != 0) {
-      index_.remove_transit(key);
-      cover_index_.remove_transit(key);
-    }
+    if (ld_.erase(key) != 0) index_.remove_transit(key);
     sub.ld_forwarded.clear();
     for (net::Link* link : broker_links_) {
       send(*link, net::LdSubscribeMsg{key, ld, loc, /*hop=*/2});
@@ -168,8 +165,7 @@ void Broker::install_sub(Session& session, const SubKey& key,
 
   sub.concrete = std::get<filter::Filter>(spec);
   index_.upsert_local(key, sub.concrete);
-  cover_index_.upsert_local(key, sub.concrete, /*ld=*/false);
-  invalidate_inputs();
+  cover_index_.upsert_local(key, sub.concrete);
 
   if (vit != virtuals_.end()) {
     // Same-broker reconnect (paper: "reconnects at the same or a
@@ -248,7 +244,6 @@ void Broker::remove_local_sub(Session& session, std::uint32_t sub_id,
   sub.relocation_timer.cancel();
   index_.remove_local(sub.key);
   cover_index_.remove_local(sub.key);
-  invalidate_inputs();
   if (sub.is_ld()) {
     for (LinkId lid : sub.ld_forwarded) {
       auto lit = links_by_id_.find(lid);
@@ -271,7 +266,6 @@ void Broker::handle_link_down(net::Link& link) {
       virtualize_session(*session);
       session_by_link_.erase(link.id());
       sessions_.erase(session->client);
-      invalidate_inputs();
     }
     return;
   }
@@ -312,8 +306,7 @@ void Broker::virtualize_session(Session& session) {
     index_.remove_local(sub.key);
     index_.upsert_virtual(sub.key, it->second.f);
     cover_index_.remove_local(sub.key);
-    cover_index_.upsert_virtual(sub.key, it->second.f, it->second.ld);
-    invalidate_inputs();
+    if (!it->second.ld) cover_index_.upsert_virtual(sub.key, it->second.f);
     schedule_virtual_ttl(it->second);
     schedule_ld_widen(it->second);
   }
@@ -350,7 +343,6 @@ void Broker::drop_virtual(const SubKey& key) {
   }
   index_.remove_virtual(key);
   cover_index_.remove_virtual(key);
-  invalidate_inputs();
   virtuals_.erase(it);
   refresh_all_links();
 }
@@ -477,7 +469,6 @@ void Broker::begin_moveout(net::Link& link, const SubKey& key,
         if (it != fs.end()) {
           it->second.erase(key);
           cover_index_.untag_remote(lid, step.f, key);
-          invalidate_inputs();
         }
         break;
       }
@@ -497,7 +488,6 @@ void Broker::begin_moveout(net::Link& link, const SubKey& key,
           if (it != fs.end()) {
             it->second.erase(key);
             cover_index_.untag_remote(lid, step.f, key);
-            invalidate_inputs();
             // Entries serving nobody anymore must go, or they would
             // keep routing traffic down the abandoned path.
             if (it->second.empty()) {
@@ -530,7 +520,6 @@ void Broker::finish_moveout(net::Link& link, const SubKey& key) {
     if (it == fs.end()) continue;
     it->second.erase(key);
     cover_index_.untag_remote(link.id(), f, key);
-    invalidate_inputs();
     if (it->second.empty()) {
       fs.erase(it);
       index_.remove_remote(link.id(), f);

@@ -107,13 +107,13 @@ namespace {
 
 scenario::TopologySpec parse_topology(const JsonValue& v) {
   const std::string kind = v.string_or("kind", "chain");
-  const auto size = static_cast<std::size_t>(v.int_or("size", 2));
+  const std::size_t size = count_field(v, "size", 2, "topology");
   if (kind == "chain") return scenario::TopologySpec::chain(size);
   if (kind == "star") return scenario::TopologySpec::star(size);
   if (kind == "balanced_tree") {
     return scenario::TopologySpec::balanced_tree(
-        static_cast<std::size_t>(v.int_or("depth", 2)),
-        static_cast<std::size_t>(v.int_or("fanout", 2)));
+        count_field(v, "depth", 2, "topology"),
+        count_field(v, "fanout", 2, "topology"));
   }
   if (kind == "random_tree") return scenario::TopologySpec::random_tree(size);
   fail("topology.kind", "unknown topology \"" + kind + "\"");
@@ -124,22 +124,22 @@ scenario::LocationSpec parse_locations(const JsonValue& v) {
   if (kind == "none") return scenario::LocationSpec::none();
   if (kind == "line") {
     return scenario::LocationSpec::line(
-        static_cast<std::size_t>(v.int_or("size", 2)));
+        count_field(v, "size", 2, "locations"));
   }
   if (kind == "grid") {
     return scenario::LocationSpec::grid(
-        static_cast<std::size_t>(v.int_or("width", 2)),
-        static_cast<std::size_t>(v.int_or("height", 2)));
+        count_field(v, "width", 2, "locations"),
+        count_field(v, "height", 2, "locations"));
   }
   if (kind == "ring") {
     return scenario::LocationSpec::ring(
-        static_cast<std::size_t>(v.int_or("size", 3)));
+        count_field(v, "size", 3, "locations"));
   }
   if (kind == "fig7") return scenario::LocationSpec::paper_fig7();
   if (kind == "random") {
     return scenario::LocationSpec::random_connected(
-        static_cast<std::size_t>(v.int_or("size", 4)),
-        static_cast<std::size_t>(v.int_or("extra_edges", 0)));
+        count_field(v, "size", 4, "locations"),
+        count_field(v, "extra_edges", 0, "locations"));
   }
   fail("locations.kind", "unknown location graph \"" + kind + "\"");
 }
@@ -164,7 +164,7 @@ namespace {
 /// any real config and far below int64 tick overflow.
 double delay_ms(double ms, const std::string& where) {
   if (!(ms >= 0 && ms <= 1e12)) {  // NaN fails both comparisons
-    fail(where, "delay must be in [0, 1e12] milliseconds");
+    fail(where, "must be in [0, 1e12] milliseconds");
   }
   return ms;
 }
@@ -199,28 +199,33 @@ sim::DelayModel parse_delay(const JsonValue& v, const std::string& where) {
 /// A "broker" duration field in milliseconds, range-checked like a delay.
 sim::Duration duration_field(const JsonValue& v, const std::string& key,
                              sim::Duration fallback) {
-  return sim::millis(
-      delay_ms(v.number_or(key, sim::to_millis(fallback)), "broker." + key));
-}
-
-/// A "broker" count field; negative counts would wrap to huge sizes.
-std::size_t count_field(const JsonValue& v, const std::string& key,
-                        std::size_t fallback) {
-  const std::int64_t n = v.int_or(key, static_cast<std::int64_t>(fallback));
-  if (n < 0) fail("broker." + key, "must be >= 0");
-  return static_cast<std::size_t>(n);
+  return duration_ms(v.number_or(key, sim::to_millis(fallback)),
+                     "broker." + key);
 }
 
 }  // namespace
+
+sim::Duration duration_ms(double ms, const std::string& where, bool positive) {
+  const sim::Duration d = sim::millis(delay_ms(ms, where));
+  if (positive && d <= 0) fail(where, "must be > 0 milliseconds");
+  return d;
+}
+
+std::size_t count_field(const JsonValue& v, const std::string& key,
+                        std::size_t fallback, const std::string& where) {
+  const std::int64_t n = v.int_or(key, static_cast<std::int64_t>(fallback));
+  if (n < 0) fail(where + "." + key, "must be >= 0");
+  return static_cast<std::size_t>(n);
+}
 
 broker::BrokerConfig parse_broker(const JsonValue& v,
                                   broker::BrokerConfig base) {
   base.use_advertisements =
       v.bool_or("use_advertisements", base.use_advertisements);
   base.session_history =
-      count_field(v, "session_history", base.session_history);
+      count_field(v, "session_history", base.session_history, "broker");
   base.virtual_capacity =
-      count_field(v, "virtual_capacity", base.virtual_capacity);
+      count_field(v, "virtual_capacity", base.virtual_capacity, "broker");
   base.virtual_ttl = duration_field(v, "virtual_ttl_ms", base.virtual_ttl);
   base.relocation_timeout =
       duration_field(v, "relocation_timeout_ms", base.relocation_timeout);
@@ -248,11 +253,14 @@ location::UncertaintyProfile parse_profile(const JsonValue& v,
     std::vector<sim::Duration> hops;
     if (const JsonValue* h = v.find("hop_delays_ms")) {
       for (const JsonValue& d : h->items()) {
-        hops.push_back(sim::millis(d.as_number(where + ".hop_delays_ms")));
+        hops.push_back(duration_ms(d.as_number(where + ".hop_delays_ms"),
+                                   where + ".hop_delays_ms"));
       }
     }
     return location::UncertaintyProfile::adaptive(
-        sim::millis(v.number_or("delta_ms", 1000)), std::move(hops));
+        duration_ms(v.number_or("delta_ms", 1000), where + ".delta_ms",
+                    /*positive=*/true),
+        std::move(hops));
   }
   fail(where + ".kind", "unknown uncertainty profile \"" + kind + "\"");
 }
@@ -332,9 +340,11 @@ void apply_client(const JsonValue& v, const std::string& where,
       const std::string w = ws.str();
       scenario::PublishSpec spec;
       if (const JsonValue* every = p.find("every_ms")) {
-        spec.every(sim::millis(every->as_number(w + ".every_ms")));
+        spec.every(duration_ms(every->as_number(w + ".every_ms"),
+                               w + ".every_ms", /*positive=*/true));
       } else if (const JsonValue* poisson = p.find("poisson_ms")) {
-        spec.poisson(sim::millis(poisson->as_number(w + ".poisson_ms")));
+        spec.poisson(duration_ms(poisson->as_number(w + ".poisson_ms"),
+                                 w + ".poisson_ms", /*positive=*/true));
       } else {
         fail(w, "publishes needs every_ms or poisson_ms");
       }
@@ -371,8 +381,16 @@ void apply_client(const JsonValue& v, const std::string& where,
         spec.route(std::move(stops));
       }
       if (r.bool_or("random_waypoint", false)) spec.random_waypoint();
-      spec.dwelling(sim::millis(r.number_or("dwell_ms", 5000)));
-      spec.dark_for(sim::millis(r.number_or("gap_ms", 1000)));
+      const sim::Duration dwell =
+          duration_ms(r.number_or("dwell_ms", 5000), w + ".dwell_ms");
+      const sim::Duration gap =
+          duration_ms(r.number_or("gap_ms", 1000), w + ".gap_ms");
+      // A zero-length roam cycle would hop forever at one instant.
+      if (dwell + gap == 0) {
+        fail(w + ".dwell_ms", "dwell_ms + gap_ms must be > 0");
+      }
+      spec.dwelling(dwell);
+      spec.dark_for(gap);
       if (r.bool_or("graceful", false)) spec.gracefully();
       spec.hops(static_cast<std::uint64_t>(r.int_or("hops", 0)));
       if (const JsonValue* seed = r.find("seed")) {
@@ -399,7 +417,8 @@ void apply_client(const JsonValue& v, const std::string& where,
         }
         spec.route(std::move(stops));
       }
-      spec.residing(sim::millis(wv.number_or("residence_ms", 1000)));
+      spec.residing(duration_ms(wv.number_or("residence_ms", 1000),
+                                w + ".residence_ms", /*positive=*/true));
       if (wv.bool_or("exponential_residence", false)) {
         spec.exponential_residence();
       }
@@ -462,8 +481,9 @@ std::function<void(scenario::Scenario&)> parse_action(const JsonValue& v,
 void apply_phase(const JsonValue& v, const std::string& where,
                  ScenarioBuilder& b) {
   const std::string name = v.get("name", where).as_string(where + ".name");
-  const sim::Duration duration =
-      sim::millis(v.get("duration_ms", where).as_number(where + ".duration_ms"));
+  const sim::Duration duration = duration_ms(
+      v.get("duration_ms", where).as_number(where + ".duration_ms"),
+      where + ".duration_ms");
   std::function<void(scenario::Scenario&)> on_enter;
   if (const JsonValue* actions = v.find("on_enter")) {
     std::vector<std::function<void(scenario::Scenario&)>> steps;
@@ -523,7 +543,8 @@ void apply_config(const JsonValue& root, ScenarioBuilder& b) {
   }
 
   if (const JsonValue* cp = root.find("checkpoint_every_ms")) {
-    b.checkpoint_every(sim::millis(cp->as_number("checkpoint_every_ms")));
+    b.checkpoint_every(duration_ms(cp->as_number("checkpoint_every_ms"),
+                                   "checkpoint_every_ms"));
   }
   // Declarative QoS expectations, checked by every run's report():
   //   "expect": {"exactly_once": ["consumer"], "fifo": ["consumer"]}

@@ -50,6 +50,17 @@ struct RunSpec {
 /// and counts must be >= 0, or JsonError names the field.
 [[nodiscard]] broker::BrokerConfig parse_broker(const JsonValue& v,
                                                 broker::BrokerConfig base);
+/// A millisecond field as a duration: JsonError naming `where` unless it
+/// lies in [0, 1e12] ms and, where `positive` (periods, residence
+/// times), is at least 1 ns.
+[[nodiscard]] sim::Duration duration_ms(double ms, const std::string& where,
+                                        bool positive = false);
+/// Integer field `key` of `v` (`fallback` if absent) as a count:
+/// JsonError naming `where`.`key` if negative.
+[[nodiscard]] std::size_t count_field(const JsonValue& v,
+                                      const std::string& key,
+                                      std::size_t fallback,
+                                      const std::string& where);
 
 }  // namespace rebeca::cli
 

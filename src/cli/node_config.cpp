@@ -23,13 +23,12 @@ namespace {
 
 net::Topology parse_topology(const JsonValue& v) {
   const std::string kind = v.string_or("kind", "chain");
-  const auto size = static_cast<std::size_t>(v.int_or("size", 2));
+  const std::size_t size = count_field(v, "size", 2, "topology");
   if (kind == "chain") return net::Topology::chain(size);
   if (kind == "star") return net::Topology::star(size);
   if (kind == "balanced_tree") {
-    return net::Topology::balanced_tree(
-        static_cast<std::size_t>(v.int_or("depth", 2)),
-        static_cast<std::size_t>(v.int_or("fanout", 2)));
+    return net::Topology::balanced_tree(count_field(v, "depth", 2, "topology"),
+                                        count_field(v, "fanout", 2, "topology"));
   }
   if (kind == "random_tree") {
     // Seeded: every process of the deployment derives the same tree
@@ -57,8 +56,9 @@ std::map<std::string, PhaseWindow> parse_phases(const JsonValue& root,
     std::ostringstream w;
     w << "phases[" << i++ << "]";
     const std::string name = p.get("name", w.str()).as_string(w.str() + ".name");
-    const sim::Duration d = sim::millis(
-        p.get("duration_ms", w.str()).as_number(w.str() + ".duration_ms"));
+    const sim::Duration d = duration_ms(
+        p.get("duration_ms", w.str()).as_number(w.str() + ".duration_ms"),
+        w.str() + ".duration_ms");
     windows[name] = PhaseWindow{total, total + d};
     total += d;
   }
@@ -98,9 +98,11 @@ transport::NodeClientSpec parse_client(
       const std::string w = ws.str();
       transport::PublishDrive d;
       if (const JsonValue* every = p.find("every_ms")) {
-        d.every = sim::millis(every->as_number(w + ".every_ms"));
+        d.every = duration_ms(every->as_number(w + ".every_ms"),
+                              w + ".every_ms", /*positive=*/true);
       } else if (const JsonValue* poisson = p.find("poisson_ms")) {
-        d.poisson = sim::millis(poisson->as_number(w + ".poisson_ms"));
+        d.poisson = duration_ms(poisson->as_number(w + ".poisson_ms"),
+                                w + ".poisson_ms", /*positive=*/true);
       } else {
         fail(w, "publishes needs every_ms or poisson_ms");
       }
@@ -134,8 +136,12 @@ transport::NodeClientSpec parse_client(
         }
       }
       if (d.route.empty()) fail(w, "roams needs a non-empty route");
-      d.dwell = sim::millis(r.number_or("dwell_ms", 5000));
-      d.gap = sim::millis(r.number_or("gap_ms", 1000));
+      d.dwell = duration_ms(r.number_or("dwell_ms", 5000), w + ".dwell_ms");
+      d.gap = duration_ms(r.number_or("gap_ms", 1000), w + ".gap_ms");
+      // A zero-length roam cycle would hop forever at one instant.
+      if (d.dwell + d.gap == 0) {
+        fail(w + ".dwell_ms", "dwell_ms + gap_ms must be > 0");
+      }
       d.hops = static_cast<std::uint64_t>(r.int_or("hops", 0));
       if (const JsonValue* from = r.find("from_phase")) {
         d.start = window_of(phases, from->as_string(w + ".from_phase"),

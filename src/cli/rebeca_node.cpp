@@ -102,8 +102,10 @@ int main(int argc, char** argv) {
   try {
     spec = rebeca::cli::load_node_config(config_path);
   } catch (const std::exception& e) {
+    // A bad config is a failed run (exit 1, as in rebeca-run); exit 2 is
+    // for a bad command line.
     std::cerr << "rebeca-node: " << e.what() << "\n";
-    return 2;
+    return 1;
   }
   if (!rendezvous.empty()) spec.transport.rendezvous_dir = rendezvous;
   if (port_base >= 0) {

@@ -14,26 +14,10 @@ using filter::Constraint;
 using filter::Filter;
 using filter::Op;
 using filter::Value;
-
-int value_class(const Value& v) {
-  if (v.is_numeric()) return 0;
-  if (v.is_string()) return 1;
-  return 2;  // bool
-}
-
-/// Within one bound list every operand is of one ordered class, so the
-/// comparison always decides.
-bool bound_less(const Value& a, const Value& b) {
-  return a.compare(b).value_or(0) < 0;
-}
-
-/// True when the value's normalized double equality key is lossless, so
-/// key equality coincides with Value::equals.
-bool eq_key_exact(const Value& v) {
-  if (!v.is_int()) return true;
-  const std::int64_t i = v.as_int();
-  return i >= -(std::int64_t{1} << 53) && i <= (std::int64_t{1} << 53);
-}
+using detail::bound_less;
+using detail::eq_key_exact;
+using detail::eq_key_of;
+using detail::value_class;
 
 /// Smallest string strictly greater than every string with prefix `p`
 /// (the Constraint::covers decision procedure uses the same bound).
@@ -92,34 +76,6 @@ std::optional<SetSpan> set_span(const std::set<Value>& values) {
 // ---------------------------------------------------------------------------
 
 std::uint32_t CoverEngine::add(const filter::Filter* f) {
-  REBECA_ASSERT(finalized_, "cover index: add on an unfinalized engine");
-  return add_entry(f, /*sorted=*/true);
-}
-
-std::uint32_t CoverEngine::add_bulk(const filter::Filter* f) {
-  finalized_ = false;
-  return add_entry(f, /*sorted=*/false);
-}
-
-void CoverEngine::finalize() {
-  for (Bucket& b : buckets_) {
-    const auto lo_less = [](const BoundItem& a, const BoundItem& x) {
-      return bound_less(a.c->operand(), x.c->operand());
-    };
-    // Upper-only bounds sort descending so a probe scans exactly the
-    // prefix whose hi admits its value.
-    const auto hi_greater = [](const BoundItem& a, const BoundItem& x) {
-      return bound_less(x.c->operand(), a.c->operand());
-    };
-    std::sort(b.num_lo.begin(), b.num_lo.end(), lo_less);
-    std::sort(b.str_lo.begin(), b.str_lo.end(), lo_less);
-    std::sort(b.num_hi.begin(), b.num_hi.end(), hi_greater);
-    std::sort(b.str_hi.begin(), b.str_hi.end(), hi_greater);
-  }
-  finalized_ = true;
-}
-
-std::uint32_t CoverEngine::add_entry(const filter::Filter* f, bool sorted) {
   std::uint32_t slot;
   if (!free_slots_.empty()) {
     slot = free_slots_.back();
@@ -138,7 +94,7 @@ std::uint32_t CoverEngine::add_entry(const filter::Filter* f, bool sorted) {
   if (f->empty()) {
     empty_filter_slots_.push_back(slot);
   } else {
-    for (const auto& term : f->terms()) index_term(term, slot, sorted);
+    for (const auto& term : f->terms()) index_term(term, slot);
   }
   return slot;
 }
@@ -158,7 +114,7 @@ void CoverEngine::remove(std::uint32_t slot) {
 }
 
 void CoverEngine::index_term(const filter::Filter::Term& term,
-                             std::uint32_t slot, bool sorted) {
+                             std::uint32_t slot) {
   const std::uint32_t attr = term.attr.value();
   if (attr >= buckets_.size()) buckets_.resize(attr + 1);
   Bucket& b = buckets_[attr];
@@ -169,14 +125,7 @@ void CoverEngine::index_term(const filter::Filter::Term& term,
       b.any_slots.push_back(slot);
       return;
     case Op::eq: {
-      EqKey key;
-      key.cls = value_class(c.operand());
-      switch (key.cls) {
-        case 0: key.num = *c.operand().numeric(); break;
-        case 1: key.str = c.operand().as_string(); break;
-        default: key.b = c.operand().as_bool(); break;
-      }
-      EqBucket& bucket = b.eq[key];
+      EqBucket& bucket = b.eq[eq_key_of(c.operand())];
       if (eq_key_exact(c.operand())) {
         bucket.exact_slots.push_back(slot);
         bucket.exact_operands.push_back(c.operand());
@@ -192,23 +141,21 @@ void CoverEngine::index_term(const filter::Filter::Term& term,
     case Op::range: {
       const int cls = value_class(c.operand());
       if (cls == 2) break;  // ordered ops on bools: catch-all below
-      BoundItem item{&c, slot};
+      const Item item{&c, slot};
       const bool upper_only = c.op() == Op::lt || c.op() == Op::le;
       auto& list = upper_only ? (cls == 0 ? b.num_hi : b.str_hi)
                               : (cls == 0 ? b.num_lo : b.str_lo);
-      if (!sorted) {
-        list.push_back(item);
-      } else if (upper_only) {
+      if (upper_only) {
+        // Upper-only bounds sort descending so a probe scans exactly the
+        // prefix whose hi admits its value.
         const auto pos = std::lower_bound(
-            list.begin(), list.end(), item,
-            [](const BoundItem& a, const BoundItem& x) {
+            list.begin(), list.end(), item, [](const Item& a, const Item& x) {
               return bound_less(x.c->operand(), a.c->operand());
             });
         list.insert(pos, item);
       } else {
         const auto pos = std::lower_bound(
-            list.begin(), list.end(), item,
-            [](const BoundItem& a, const BoundItem& x) {
+            list.begin(), list.end(), item, [](const Item& a, const Item& x) {
               return bound_less(a.c->operand(), x.c->operand());
             });
         list.insert(pos, item);
@@ -219,7 +166,7 @@ void CoverEngine::index_term(const filter::Filter::Term& term,
       break;
   }
   // ne / prefix / in_set (and ordered-on-bool): exact evaluation.
-  b.general.push_back(GeneralItem{&c, slot});
+  b.general.push_back(Item{&c, slot});
 }
 
 void CoverEngine::unindex_term(const filter::Filter::Term& term,
@@ -241,14 +188,7 @@ void CoverEngine::unindex_term(const filter::Filter::Term& term,
       std::erase(b.any_slots, slot);
       return;
     case Op::eq: {
-      EqKey key;
-      key.cls = value_class(c.operand());
-      switch (key.cls) {
-        case 0: key.num = *c.operand().numeric(); break;
-        case 1: key.str = c.operand().as_string(); break;
-        default: key.b = c.operand().as_bool(); break;
-      }
-      auto it = b.eq.find(key);
+      auto it = b.eq.find(eq_key_of(c.operand()));
       REBECA_ASSERT(it != b.eq.end(), "cover index: missing eq bucket");
       EqBucket& bucket = it->second;
       if (eq_key_exact(c.operand())) {
@@ -293,7 +233,6 @@ void CoverEngine::unindex_term(const filter::Filter::Term& term,
 // ---------------------------------------------------------------------------
 
 void CoverEngine::begin_query() const {
-  REBECA_ASSERT(finalized_, "cover index: query on an unfinalized engine");
   ++query_stamp_;
   touched_.clear();
 }
@@ -308,30 +247,12 @@ void CoverEngine::bump(std::uint32_t slot) const {
   ++h.count;
 }
 
-void CoverEngine::mark(std::uint32_t slot) const {
-  Hit& h = hits_[slot];
-  if (h.stamp != query_stamp_) {
-    h.stamp = query_stamp_;
-    h.count = 1;
-    touched_.push_back(slot);
-  }
-}
-
 void CoverEngine::emit_full(std::vector<std::uint32_t>& out) const {
   for (const std::uint32_t slot : touched_) {
     if (hits_[slot].count == term_counts_[slot]) out.push_back(slot);
   }
   out.insert(out.end(), empty_filter_slots_.begin(), empty_filter_slots_.end());
   std::sort(out.begin(), out.end());
-}
-
-void CoverEngine::emit_unmarked(std::vector<std::uint32_t>& out) const {
-  for (std::uint32_t slot = 0;
-       slot < static_cast<std::uint32_t>(entries_.size()); ++slot) {
-    if (entries_[slot].alive && hits_[slot].stamp != query_stamp_) {
-      out.push_back(slot);
-    }
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -370,14 +291,7 @@ void CoverEngine::covers_of(const filter::Filter& f,
         probe = &*cf.values().begin();  // all-match ⟹ shared bucket key
       }
       if (probe != nullptr) {
-        EqKey key;
-        key.cls = value_class(*probe);
-        switch (key.cls) {
-          case 0: key.num = *probe->numeric(); break;
-          case 1: key.str = probe->as_string(); break;
-          default: key.b = probe->as_bool(); break;
-        }
-        auto it = b.eq.find(key);
+        auto it = b.eq.find(eq_key_of(*probe));
         if (it != b.eq.end()) {
           const EqBucket& bucket = it->second;
           if (w != nullptr) {
@@ -472,14 +386,14 @@ void CoverEngine::covers_of(const filter::Filter& f,
     if (probe_cls == 0 || probe_cls == 1) {
       if (m != nullptr) {
         const auto& list = probe_cls == 0 ? b.num_lo : b.str_lo;
-        for (const BoundItem& item : list) {
+        for (const Item& item : list) {
           if (item.c->operand().compare(*m).value_or(1) > 0) break;
           if (item.c->covers(cf)) bump(item.slot);
         }
       }
       if (M != nullptr) {
         const auto& list = probe_cls == 0 ? b.num_hi : b.str_hi;
-        for (const BoundItem& item : list) {
+        for (const Item& item : list) {
           if (item.c->operand().compare(*M).value_or(-1) < 0) break;
           if (item.c->covers(cf)) bump(item.slot);
         }
@@ -487,7 +401,7 @@ void CoverEngine::covers_of(const filter::Filter& f,
     }
 
     // Catch-all lane: exact oracle.
-    for (const GeneralItem& item : b.general) {
+    for (const Item& item : b.general) {
       if (item.c->covers(cf)) bump(item.slot);
     }
   }
@@ -517,16 +431,6 @@ void CoverEngine::covered_by_of(const filter::Filter& f,
     return;
   }
 
-  const auto key_of = [](const Value& v) {
-    EqKey k;
-    k.cls = value_class(v);
-    switch (k.cls) {
-      case 0: k.num = *v.numeric(); break;
-      case 1: k.str = v.as_string(); break;
-      default: k.b = v.as_bool(); break;
-    }
-    return k;
-  };
   const auto class_floor = [](int cls) {
     EqKey k;
     k.cls = cls;
@@ -548,11 +452,11 @@ void CoverEngine::covered_by_of(const filter::Filter& f,
         for (const std::uint32_t slot : bucket.exact_slots) bump(slot);
         for (const EqItem& item : bucket.inexact) bump(item.slot);
       }
-      for (const BoundItem& item : b.num_lo) bump(item.slot);
-      for (const BoundItem& item : b.str_lo) bump(item.slot);
-      for (const BoundItem& item : b.num_hi) bump(item.slot);
-      for (const BoundItem& item : b.str_hi) bump(item.slot);
-      for (const GeneralItem& item : b.general) bump(item.slot);
+      for (const Item& item : b.num_lo) bump(item.slot);
+      for (const Item& item : b.str_lo) bump(item.slot);
+      for (const Item& item : b.num_hi) bump(item.slot);
+      for (const Item& item : b.str_hi) bump(item.slot);
+      for (const Item& item : b.general) bump(item.slot);
       continue;
     }
     // A registered `any` is covered only by `any` — lane skipped.
@@ -575,7 +479,7 @@ void CoverEngine::covered_by_of(const filter::Filter& f,
       };
       const Value* w = witness_of(cf);
       if (w != nullptr) {
-        auto it = b.eq.find(key_of(*w));
+        auto it = b.eq.find(eq_key_of(*w));
         if (it != b.eq.end()) {
           const EqBucket& bucket = it->second;
           if (eq_key_exact(*w)) {
@@ -591,7 +495,7 @@ void CoverEngine::covered_by_of(const filter::Filter& f,
         switch (cf.op()) {
           case Op::lt:
           case Op::le: {
-            const EqKey hi = key_of(cf.operand());
+            const EqKey hi = eq_key_of(cf.operand());
             for (auto it = b.eq.lower_bound(class_floor(hi.cls));
                  it != b.eq.end() && !EqKeyLess{}(hi, it->first); ++it) {
               verify(it->second);
@@ -600,7 +504,7 @@ void CoverEngine::covered_by_of(const filter::Filter& f,
           }
           case Op::gt:
           case Op::ge: {
-            const EqKey lo = key_of(cf.operand());
+            const EqKey lo = eq_key_of(cf.operand());
             for (auto it = b.eq.lower_bound(lo);
                  it != b.eq.end() && it->first.cls == lo.cls; ++it) {
               verify(it->second);
@@ -608,8 +512,8 @@ void CoverEngine::covered_by_of(const filter::Filter& f,
             break;
           }
           case Op::range: {
-            const EqKey lo = key_of(cf.operand());
-            const EqKey hi = key_of(cf.hi());
+            const EqKey lo = eq_key_of(cf.operand());
+            const EqKey hi = eq_key_of(cf.hi());
             for (auto it = b.eq.lower_bound(lo);
                  it != b.eq.end() && !EqKeyLess{}(hi, it->first); ++it) {
               verify(it->second);
@@ -635,7 +539,7 @@ void CoverEngine::covered_by_of(const filter::Filter& f,
             // the whole set, not the probing member.
             std::vector<EqKey> probed;
             for (const Value& member : cf.values()) {
-              EqKey k = key_of(member);
+              EqKey k = eq_key_of(member);
               const auto seen = [&](const EqKey& q) {
                 return !EqKeyLess{}(q, k) && !EqKeyLess{}(k, q);
               };
@@ -659,11 +563,11 @@ void CoverEngine::covered_by_of(const filter::Filter& f,
     // window cf admits — including degenerate ranges [w,w], whose lo is
     // their witness. Candidates confirm with the exact covers() oracle.
     const int cls = value_class(cf.operand());
-    const auto lo_scan = [&](const std::vector<BoundItem>& list) {
+    const auto lo_scan = [&](const std::vector<Item>& list) {
       const auto from = [&](const Value& v) {
         return std::partition_point(
             list.begin(), list.end(),
-            [&](const BoundItem& item) { return bound_less(item.c->operand(), v); });
+            [&](const Item& item) { return bound_less(item.c->operand(), v); });
       };
       switch (cf.op()) {
         case Op::eq: {
@@ -710,7 +614,7 @@ void CoverEngine::covered_by_of(const filter::Filter& f,
         case Op::le:
           // Covered ranges satisfy hi ≤ v, hence lo ≤ v: scan that
           // ascending prefix (gt/ge items confirm false).
-          for (const BoundItem& item : list) {
+          for (const Item& item : list) {
             if (item.c->operand().compare(cf.operand()).value_or(1) > 0) break;
             if (cf.covers(*item.c)) bump(item.slot);
           }
@@ -728,7 +632,7 @@ void CoverEngine::covered_by_of(const filter::Filter& f,
           break;
         }
         case Op::ne:
-          for (const BoundItem& item : list) {
+          for (const Item& item : list) {
             if (cf.covers(*item.c)) bump(item.slot);
           }
           break;
@@ -751,15 +655,15 @@ void CoverEngine::covered_by_of(const filter::Filter& f,
     // Upper-only lane (lt/le): only an upper-bounded cf (lt/le) or ne
     // can cover them; covered items have hi ≤ cf's bound — the tail of
     // the descending hi list.
-    const auto hi_scan = [&](const std::vector<BoundItem>& list) {
+    const auto hi_scan = [&](const std::vector<Item>& list) {
       if (cf.op() == Op::ne) {
-        for (const BoundItem& item : list) {
+        for (const Item& item : list) {
           if (cf.covers(*item.c)) bump(item.slot);
         }
         return;
       }
       const auto from = std::partition_point(
-          list.begin(), list.end(), [&](const BoundItem& item) {
+          list.begin(), list.end(), [&](const Item& item) {
             return bound_less(cf.operand(), item.c->operand());
           });
       for (auto it = from; it != list.end(); ++it) {
@@ -776,7 +680,7 @@ void CoverEngine::covered_by_of(const filter::Filter& f,
     }
 
     // Catch-all lane: exact oracle.
-    for (const GeneralItem& item : b.general) {
+    for (const Item& item : b.general) {
       if (cf.covers(*item.c)) bump(item.slot);
     }
   }
@@ -786,56 +690,6 @@ void CoverEngine::covered_by_of(const filter::Filter& f,
     if (hits_[slot].count == target) out.push_back(slot);
   }
   std::sort(out.begin(), out.end());
-}
-
-// ---------------------------------------------------------------------------
-// overlapping: registered G with F.overlaps(G)
-// ---------------------------------------------------------------------------
-//
-// Filter::overlaps fails only when some *shared* attribute's constraints
-// are provably disjoint, so the index proves the complement: walk F's
-// terms, mark every registered term disjoint from them, emit the alive
-// slots never marked. Exact because Constraint::overlaps itself decides
-// each pair.
-
-void CoverEngine::overlapping(const filter::Filter& f,
-                              std::vector<std::uint32_t>& out) const {
-  begin_query();
-  out.clear();
-
-  for (const auto& term : f.terms()) {
-    const std::uint32_t attr = term.attr.value();
-    if (attr >= buckets_.size()) continue;
-    const Bucket& b = buckets_[attr];
-    const Constraint& cf = term.c;
-    if (cf.op() == Op::any) continue;  // any overlaps everything
-
-    for (const auto& [key, bucket] : b.eq) {
-      for (std::size_t i = 0; i < bucket.exact_slots.size(); ++i) {
-        if (!cf.matches(bucket.exact_operands[i])) {
-          mark(bucket.exact_slots[i]);
-        }
-      }
-      for (const EqItem& item : bucket.inexact) {
-        if (!cf.matches(item.operand)) mark(item.slot);
-      }
-    }
-    const auto mark_disjoint = [&](const std::vector<BoundItem>& list) {
-      for (const BoundItem& item : list) {
-        if (!cf.overlaps(*item.c)) mark(item.slot);
-      }
-    };
-    mark_disjoint(b.num_lo);
-    mark_disjoint(b.str_lo);
-    mark_disjoint(b.num_hi);
-    mark_disjoint(b.str_hi);
-    for (const GeneralItem& item : b.general) {
-      if (!cf.overlaps(*item.c)) mark(item.slot);
-    }
-    // any_slots always overlap: never marked.
-  }
-
-  emit_unmarked(out);
 }
 
 // ---------------------------------------------------------------------------
@@ -880,8 +734,7 @@ void CoverIndex::upsert_remote(LinkId link, const filter::Filter& f,
   RemoteRec& rec = it->second;
   rec.tags = tags;
   rec.slot = engine_.add(&it->first);  // map keys are address-stable
-  set_info(rec.slot,
-           SlotInfo{Source::remote, link, SubKey{}, false, &rec.tags});
+  set_info(rec.slot, SlotInfo{Source::remote, link, SubKey{}, &rec.tags});
   for (const SubKey& key : tags) tag_link(key, link);
 }
 
@@ -906,8 +759,7 @@ void CoverIndex::remove_remote(LinkId link, const filter::Filter& f) {
 }
 
 void CoverIndex::upsert_keyed(std::map<SubKey, KeyedRec>& plane, Source source,
-                              const SubKey& key, const filter::Filter& f,
-                              bool ld, LinkId toward) {
+                              const SubKey& key, const filter::Filter& f) {
   auto it = plane.find(key);
   if (it != plane.end()) {
     // Unindex through the old filter *before* overwriting it: the
@@ -918,10 +770,8 @@ void CoverIndex::upsert_keyed(std::map<SubKey, KeyedRec>& plane, Source source,
   }
   KeyedRec& rec = it->second;
   rec.f = f;
-  rec.ld = ld;
-  rec.toward = toward;
   rec.slot = engine_.add(&rec.f);
-  set_info(rec.slot, SlotInfo{source, toward, key, ld, nullptr});
+  set_info(rec.slot, SlotInfo{source, LinkId{}, key, nullptr});
 }
 
 void CoverIndex::remove_keyed(std::map<SubKey, KeyedRec>& plane,
@@ -932,34 +782,36 @@ void CoverIndex::remove_keyed(std::map<SubKey, KeyedRec>& plane,
   plane.erase(it);
 }
 
-void CoverIndex::upsert_local(const SubKey& key, const filter::Filter& f,
-                              bool ld) {
-  upsert_keyed(local_, Source::local, key, f, ld, LinkId{});
+void CoverIndex::upsert_local(const SubKey& key, const filter::Filter& f) {
+  upsert_keyed(local_, Source::local, key, f);
 }
 
 void CoverIndex::remove_local(const SubKey& key) { remove_keyed(local_, key); }
 
-void CoverIndex::upsert_virtual(const SubKey& key, const filter::Filter& f,
-                                bool ld) {
-  upsert_keyed(virtual_, Source::virt, key, f, ld, LinkId{});
+void CoverIndex::upsert_virtual(const SubKey& key, const filter::Filter& f) {
+  upsert_keyed(virtual_, Source::virt, key, f);
 }
 
 void CoverIndex::remove_virtual(const SubKey& key) {
   remove_keyed(virtual_, key);
 }
 
-void CoverIndex::upsert_transit(const SubKey& key, LinkId toward,
-                                const filter::Filter& f) {
-  upsert_keyed(transit_, Source::transit, key, f, false, toward);
-}
-
-void CoverIndex::remove_transit(const SubKey& key) {
-  remove_keyed(transit_, key);
-}
-
 // ---------------------------------------------------------------------------
 // CoverIndex: consumer queries
 // ---------------------------------------------------------------------------
+
+std::vector<ForwardInput> CoverIndex::forward_inputs(LinkId exclude) const {
+  std::vector<ForwardInput> out;
+  out.reserve(engine_.live());
+  for (const auto& [link, table] : remote_) {
+    if (link == exclude) continue;
+    for (const auto& [f, rec] : table) out.push_back({f, rec.tags});
+  }
+  for (const auto* plane : {&local_, &virtual_}) {
+    for (const auto& [key, rec] : *plane) out.push_back({rec.f, {key}});
+  }
+  return out;
+}
 
 ForwardSet CoverIndex::covered_inputs(const filter::Filter& f,
                                       LinkId exclude) const {
@@ -968,18 +820,11 @@ ForwardSet CoverIndex::covered_inputs(const filter::Filter& f,
   for (const std::uint32_t slot : query_scratch_) {
     const SlotInfo& si = info_[slot];
     const filter::Filter& g = *engine_.filter_of(slot);
-    switch (si.source) {
-      case Source::remote:
-        if (si.link == exclude || g == f) break;
-        out[g].insert(si.tags->begin(), si.tags->end());
-        break;
-      case Source::local:
-      case Source::virt:
-        if (si.ld || g == f) break;
-        out[g].insert(si.key);
-        break;
-      case Source::transit:
-        break;  // LD transit state is not a forward-set input
+    if (g == f) continue;
+    if (si.source == Source::remote) {
+      if (si.link != exclude) out[g].insert(si.tags->begin(), si.tags->end());
+    } else {
+      out[g].insert(si.key);
     }
   }
   return out;
@@ -1019,19 +864,6 @@ std::vector<MoveoutCandidate> CoverIndex::tagged_filters(
       out.push_back(MoveoutCandidate{f, rec.tags.size()});
     }
   }
-  return out;
-}
-
-std::vector<filter::Filter> CoverIndex::overlapping_filters(
-    const filter::Filter& f) const {
-  engine_.overlapping(f, query_scratch_);
-  std::vector<filter::Filter> out;
-  out.reserve(query_scratch_.size());
-  for (const std::uint32_t slot : query_scratch_) {
-    out.push_back(*engine_.filter_of(slot));
-  }
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
   return out;
 }
 

@@ -12,28 +12,9 @@ namespace {
 using filter::Constraint;
 using filter::Op;
 using filter::Value;
-
-int value_class(const Value& v) {
-  if (v.is_numeric()) return 0;
-  if (v.is_string()) return 1;
-  return 2;  // bool
-}
-
-/// Within one interval list every bound is of one ordered class, so the
-/// comparison always decides.
-bool bound_less(const Value& a, const Value& b) {
-  return a.compare(b).value_or(0) < 0;
-}
-
-constexpr std::int64_t kExactInt = std::int64_t{1} << 53;
-
-/// True when the value's normalized double equality key is lossless, so
-/// key equality coincides with Value::equals.
-bool eq_key_exact(const Value& v) {
-  if (!v.is_int()) return true;
-  const std::int64_t i = v.as_int();
-  return i >= -kExactInt && i <= kExactInt;
-}
+using detail::bound_less;
+using detail::eq_key_exact;
+using detail::value_class;
 
 /// True when `m` is an int whose double twin is also a member (1 beside
 /// 1.0): both share one equality key, and the double posts it — a huge

@@ -45,6 +45,7 @@
 #include <vector>
 
 #include "src/filter/filter.hpp"
+#include "src/routing/eq_key.hpp"
 #include "src/util/domain_ids.hpp"
 
 namespace rebeca::routing {
@@ -96,17 +97,8 @@ class MatchIndex {
     bool alive = false;
   };
 
-  /// Normalized equality-bucket key. Cross-type numeric equality
-  /// (1 == 1.0) must land int and double operands in the same bucket,
-  /// so numerics normalize to double; huge int64s can collide after the
-  /// double cast, so their postings keep the operand and re-verify with
-  /// Value::equals on probe.
-  struct EqKey {
-    int cls = 0;  // 0 numeric, 1 string, 2 bool
-    double num = 0;
-    std::string str;
-    bool b = false;
-  };
+  using EqKey = detail::EqKey;
+  using EqKeyLess = detail::EqKeyLess;
 
   /// Borrowed probe key: a collect() lookup must not copy the
   /// notification's string attribute per probe.
@@ -115,20 +107,6 @@ class MatchIndex {
     double num = 0;
     std::string_view str;
     bool b = false;
-  };
-
-  struct EqKeyLess {
-    using is_transparent = void;
-
-    template <typename A, typename B>
-    bool operator()(const A& a, const B& b) const {
-      if (a.cls != b.cls) return a.cls < b.cls;
-      switch (a.cls) {
-        case 0: return a.num < b.num;
-        case 1: return std::string_view(a.str) < std::string_view(b.str);
-        default: return a.b < b.b;
-      }
-    }
   };
 
   struct EqItem {

@@ -4,8 +4,10 @@
 // Rather than maintaining incremental covering/merging bookkeeping — the
 // classic source of subtle re-expose bugs on unsubscription — a broker
 // recomputes, per neighbor link, the *target* forward set from its
-// current inputs and diffs it against what it previously sent. The
-// strategy only decides how inputs collapse into the target set:
+// current inputs (CoverIndex::forward_inputs: the other links' routing
+// entries, its non-LD local subscriptions and virtual counterparts) and
+// diffs it against what it previously sent. The strategy only decides
+// how inputs collapse into the target set:
 //
 //   flooding  — nothing is forwarded; notifications flood instead.
 //   simple    — every subscription forwarded individually.
@@ -142,8 +144,8 @@ struct MoveoutProgram {
 
 /// One moveout candidate: a routing-table entry tagged with the
 /// departing key, plus how many keys it serves in total (the
-/// untag-vs-prune decision). The CoverIndex produces these directly
-/// from its inverted tag index, without walking the hop's table.
+/// untag-vs-prune decision). CoverIndex::tagged_filters produces these
+/// from its copy of the hop's table.
 struct MoveoutCandidate {
   filter::Filter f;
   std::size_t tag_count = 0;

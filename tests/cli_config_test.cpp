@@ -6,6 +6,10 @@
 // C++ — a config file is a full substitute for a recompile.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "src/cli/config.hpp"
 #include "src/cli/json.hpp"
 #include "src/cli/node_config.hpp"
@@ -217,6 +221,116 @@ TEST(Config, HostileBrokerTuningIsRejectedByBothLoaders) {
   EXPECT_TRUE(spec.broker.ld_presubscribe);
   EXPECT_EQ(spec.broker.session_history, 0u);
   EXPECT_EQ(spec.broker.virtual_capacity, 7u);
+}
+
+/// A config whose fields are all in range; `$name` placeholders are
+/// substituted by hostile_doc. Both loaders read everything but the
+/// rebeca-run-only keys (walks, locations, checkpoints, LD profiles).
+std::string hostile_doc(std::vector<std::pair<std::string, std::string>> subst) {
+  std::string doc = R"({
+    "topology": {"kind": "$kind", "size": $size, "depth": $depth,
+                 "fanout": $fanout},
+    "locations": {"kind": "grid", "width": $width, "height": 2},
+    "checkpoint_every_ms": $checkpoint,
+    "clients": [
+      {"name": "pub", "id": 1, "broker": 0,
+       "publishes": [{"$rate": $period, "body": {"x": 1}}]},
+      {"name": "roamer", "id": 2, "broker": 1,
+       "subscribes": [{"x": {"eq": 1}}],
+       "roams": [{"route": [0], "dwell_ms": $dwell, "gap_ms": $gap}]},
+      {"name": "walker", "id": 3, "broker": 0, "starts_at": "g0_0",
+       "subscribes_ld": [{"profile": {"kind": "adaptive",
+                                      "delta_ms": $delta,
+                                      "hop_delays_ms": [$hop]}}],
+       "walks": [{"route": ["g1_0"], "residence_ms": $residence}]}
+    ],
+    "phases": [{"name": "p", "duration_ms": $duration}]})";
+  const std::vector<std::pair<std::string, std::string>> defaults = {
+      {"kind", "balanced_tree"}, {"size", "2"},     {"depth", "1"},
+      {"fanout", "2"},           {"width", "2"},    {"checkpoint", "0"},
+      {"rate", "every_ms"},      {"period", "10"},  {"dwell", "0"},
+      {"gap", "10"},             {"delta", "1000"}, {"hop", "0"},
+      {"residence", "100"},      {"duration", "0"},
+  };
+  subst.insert(subst.end(), defaults.begin(), defaults.end());
+  for (const auto& [name, value] : subst) {
+    for (auto at = doc.find("$" + name); at != std::string::npos;
+         at = doc.find("$" + name)) {
+      doc.replace(at, name.size() + 1, value);
+    }
+  }
+  return doc;
+}
+
+TEST(Config, HostileDurationsAndSizesAreRejectedByBothLoaders) {
+  // Every *_ms field shares the delay range check, [0, 1e12] ms; a
+  // publish period or residence time must also be > 0, and so must a
+  // roam's dwell + gap. Before, a zero every_ms (or roam cycle) never
+  // terminated, negative or huge durations died on the
+  // executor's and the scenario's REBECA_ASSERTs (1e300 also through
+  // sim::millis's UB double->int64 cast), and a negative topology size
+  // wrapped to a huge size_t.
+  struct Case {
+    std::vector<std::pair<std::string, std::string>> subst;
+    const char* field;
+    bool node;  // rebeca-node reads the field too
+  };
+  const Case cases[] = {
+      {{{"period", "0"}}, "every_ms", true},
+      {{{"period", "-5"}}, "every_ms", true},
+      {{{"period", "1e300"}}, "every_ms", true},
+      {{{"rate", "poisson_ms"}, {"period", "0"}}, "poisson_ms", true},
+      {{{"rate", "poisson_ms"}, {"period", "-5"}}, "poisson_ms", true},
+      {{{"rate", "poisson_ms"}, {"period", "1e300"}}, "poisson_ms", true},
+      {{{"duration", "-1"}}, "duration_ms", true},
+      {{{"duration", "1e300"}}, "duration_ms", true},
+      {{{"gap", "-150"}}, "gap_ms", true},
+      {{{"gap", "1e300"}}, "gap_ms", true},
+      {{{"dwell", "-1"}}, "dwell_ms", true},
+      {{{"dwell", "1e13"}}, "dwell_ms", true},
+      {{{"dwell", "0"}, {"gap", "0"}}, "dwell_ms", true},
+      {{{"kind", "chain"}, {"size", "-1"}}, "topology.size", true},
+      {{{"depth", "-1"}}, "topology.depth", true},
+      {{{"fanout", "-1"}}, "topology.fanout", true},
+      {{{"residence", "0"}}, "residence_ms", false},
+      {{{"residence", "-5"}}, "residence_ms", false},
+      {{{"residence", "1e300"}}, "residence_ms", false},
+      {{{"checkpoint", "-5"}}, "checkpoint_every_ms", false},
+      {{{"checkpoint", "1e300"}}, "checkpoint_every_ms", false},
+      {{{"delta", "0"}}, "delta_ms", false},
+      {{{"hop", "-1"}}, "hop_delays_ms", false},
+      {{{"width", "-1"}}, "locations.width", false},
+  };
+  for (const Case& c : cases) {
+    const std::string doc = hostile_doc(c.subst);
+    SCOPED_TRACE(doc);
+    for (const bool node : {false, true}) {
+      if (node && !c.node) continue;
+      try {
+        if (node) {
+          (void)cli::parse_node_config(doc);
+        } else {
+          (void)cli::parse_config(doc);
+        }
+        ADD_FAILURE() << c.field << ": expected JsonError (node=" << node
+                      << ")";
+      } catch (const JsonError& e) {
+        EXPECT_NE(std::string(e.what()).find(c.field), std::string::npos)
+            << e.what();
+      }
+    }
+  }
+
+  // The in-range bounds still parse, through both loaders alike: zero
+  // dwells, phases and checkpoints, and a 1 ns publish period.
+  const std::string ok = hostile_doc({{"period", "1e-6"}});
+  EXPECT_NO_THROW((void)cli::parse_config(ok));
+  const transport::NodeSpec spec = cli::parse_node_config(ok);
+  ASSERT_EQ(spec.clients.size(), 3u);
+  ASSERT_EQ(spec.clients[0].publishes.size(), 1u);
+  EXPECT_EQ(spec.clients[0].publishes[0].every, 1);
+  ASSERT_EQ(spec.clients[1].roams.size(), 1u);
+  EXPECT_EQ(spec.clients[1].roams[0].dwell, 0);
 }
 
 // ---------------------------------------------------------------------------

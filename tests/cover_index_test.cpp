@@ -1,11 +1,13 @@
-// CoverIndex correctness: the counting covering/overlap index must agree
-// with naive linear Filter::covers / overlaps scans on every corpus we
-// can generate — across every routing strategy's forward-set shapes,
-// across all four broker planes, and across incremental churn. The index
-// is the broker's only admin plane, so its routing rests on this
-// agreement (and on collapse_covering_indexed reproducing the reference
-// pass's tie-breaks exactly, tested here at the strategy layer);
-// admin_index_equivalence_test re-checks it on live broker tables.
+// CoverIndex correctness: the counting covering index must agree with
+// naive linear Filter::covers scans on every corpus we can generate —
+// across every routing strategy's forward-set shapes, across the three
+// input planes (remote tables, local subscriptions, virtual
+// counterparts), and across incremental churn. The index is the broker's
+// only admin plane and its only copy of the forward-set inputs, so its
+// routing rests on this agreement (and on collapse_covering_indexed
+// reproducing the reference pass's tie-breaks exactly, tested here at
+// the strategy layer); admin_index_equivalence_test re-checks it on live
+// broker tables.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -84,7 +86,7 @@ Filter random_filter(util::Rng& rng) {
 }
 
 // ---------------------------------------------------------------------------
-// Engine level: covers_of / covered_by_of / overlapping == naive scans
+// Engine level: covers_of / covered_by_of == naive scans
 // ---------------------------------------------------------------------------
 
 struct NaiveEngine {
@@ -104,13 +106,6 @@ struct NaiveEngine {
     }
     return out;
   }
-  [[nodiscard]] std::vector<std::uint32_t> overlapping(const Filter& f) const {
-    std::vector<std::uint32_t> out;
-    for (const auto& [slot, g] : live) {
-      if (f.overlaps(g)) out.push_back(slot);
-    }
-    return out;
-  }
 };
 
 void expect_engine_same(const CoverEngine& engine, const NaiveEngine& naive,
@@ -122,9 +117,6 @@ void expect_engine_same(const CoverEngine& engine, const NaiveEngine& naive,
   engine.covered_by_of(probe, got);
   EXPECT_EQ(naive.covered_by_of(probe), got)
       << "covered_by_of diverges on " << probe.to_string();
-  engine.overlapping(probe, got);
-  EXPECT_EQ(naive.overlapping(probe), got)
-      << "overlapping diverges on " << probe.to_string();
 }
 
 TEST(CoverEngine, AgreesWithLinearAcrossStrategies) {
@@ -149,11 +141,10 @@ TEST(CoverEngine, AgreesWithLinearAcrossStrategies) {
       NaiveEngine naive;
       std::vector<Filter> registered;
       for (const auto& [f, tags] : fs) {
-        const std::uint32_t slot = engine.add_bulk(&f);
+        const std::uint32_t slot = engine.add(&f);
         naive.live[slot] = f;
         registered.push_back(f);
       }
-      engine.finalize();
 
       // Probe with fresh random filters AND with every registered filter
       // (self-coverage, equivalence classes, exact-duplicate handling).
@@ -165,31 +156,55 @@ TEST(CoverEngine, AgreesWithLinearAcrossStrategies) {
   }
 }
 
-TEST(CoverEngine, IncrementalAddMatchesBulk) {
+/// The filters behind a query's slots, sorted: engines that registered
+/// the same filters in different slots answer alike.
+std::vector<Filter> filters_of(const CoverEngine& engine,
+                               const std::vector<std::uint32_t>& slots) {
+  std::vector<Filter> out;
+  for (const std::uint32_t slot : slots) out.push_back(*engine.filter_of(slot));
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+TEST(CoverEngine, ChurnedEngineMatchesFreshEngine) {
+  // Removals recycle slots and splice bound lists; an engine after heavy
+  // add/remove churn must answer exactly like one freshly built from the
+  // surviving filters.
   util::Rng rng(7);
   for (std::uint64_t corpus = 0; corpus < 10; ++corpus) {
-    std::vector<Filter> filters;
-    const std::size_t n = 1 + rng.index(20);
-    for (std::size_t i = 0; i < n; ++i) filters.push_back(random_filter(rng));
-
-    CoverEngine bulk;
-    for (const Filter& f : filters) bulk.add_bulk(&f);
-    bulk.finalize();
-    CoverEngine incremental;  // a fresh engine is finalized; add() keeps it so
-    for (const Filter& f : filters) incremental.add(&f);
+    std::map<std::uint32_t, Filter> pool;  // stable storage, by id
+    std::map<std::uint32_t, std::uint32_t> slot_of;  // id -> churned slot
+    CoverEngine churned;
+    std::uint32_t next_id = 0;
+    const std::size_t steps = 20 + rng.index(60);
+    for (std::size_t step = 0; step < steps; ++step) {
+      if (slot_of.empty() || rng.bernoulli(0.6)) {
+        const std::uint32_t id = next_id++;
+        const Filter& f = pool.emplace(id, random_filter(rng)).first->second;
+        slot_of[id] = churned.add(&f);
+      } else {
+        auto it = slot_of.begin();
+        std::advance(it, static_cast<std::ptrdiff_t>(rng.index(slot_of.size())));
+        churned.remove(it->second);
+        pool.erase(it->first);
+        slot_of.erase(it);
+      }
+    }
+    CoverEngine fresh;
+    for (const auto& [id, f] : pool) fresh.add(&f);
+    ASSERT_EQ(churned.live(), fresh.live());
 
     std::vector<std::uint32_t> a, b;
     for (std::size_t probe = 0; probe < 20; ++probe) {
       const Filter p = random_filter(rng);
-      bulk.covers_of(p, a);
-      incremental.covers_of(p, b);
-      EXPECT_EQ(a, b);
-      bulk.covered_by_of(p, a);
-      incremental.covered_by_of(p, b);
-      EXPECT_EQ(a, b);
-      bulk.overlapping(p, a);
-      incremental.overlapping(p, b);
-      EXPECT_EQ(a, b);
+      churned.covers_of(p, a);
+      fresh.covers_of(p, b);
+      EXPECT_EQ(filters_of(churned, a), filters_of(fresh, b))
+          << "covers_of diverges on " << p.to_string();
+      churned.covered_by_of(p, a);
+      fresh.covered_by_of(p, b);
+      EXPECT_EQ(filters_of(churned, a), filters_of(fresh, b))
+          << "covered_by_of diverges on " << p.to_string();
     }
   }
 }
@@ -230,26 +245,29 @@ TEST(CoverIndexStrategy, IndexedForwardSetEqualsLinear) {
 
 struct NaiveIndex {
   std::map<LinkId, std::map<Filter, std::set<SubKey>>> remote;
-  std::map<SubKey, std::pair<Filter, bool>> locals;    // filter, is_ld
-  std::map<SubKey, std::pair<Filter, bool>> virtuals;  // filter, is_ld
-  std::map<SubKey, std::pair<LinkId, Filter>> transits;
+  std::map<SubKey, Filter> locals;
+  std::map<SubKey, Filter> virtuals;
+
+  // The broker's table-scan input collection: remote entries of the
+  // other links, then locals, then virtuals.
+  [[nodiscard]] std::vector<ForwardInput> forward_inputs(LinkId exclude) const {
+    std::vector<ForwardInput> inputs;
+    for (const auto& [link, fs] : remote) {
+      if (link == exclude) continue;
+      for (const auto& [g, tags] : fs) inputs.push_back({g, tags});
+    }
+    for (const auto& [key, g] : locals) inputs.push_back({g, {key}});
+    for (const auto& [key, g] : virtuals) inputs.push_back({g, {key}});
+    return inputs;
+  }
 
   // Mirrors Broker::answer_reexpose's linear arm: identity-collapse of
-  // collect_inputs_excluding, then routing::covered_by.
+  // the inputs, then routing::covered_by.
   [[nodiscard]] ForwardSet covered_inputs(const Filter& f,
                                           LinkId exclude) const {
     ForwardSet inputs;
-    for (const auto& [link, fs] : remote) {
-      if (link == exclude) continue;
-      for (const auto& [g, tags] : fs) {
-        inputs[g].insert(tags.begin(), tags.end());
-      }
-    }
-    for (const auto& [key, ent] : locals) {
-      if (!ent.second) inputs[ent.first].insert(key);
-    }
-    for (const auto& [key, ent] : virtuals) {
-      if (!ent.second) inputs[ent.first].insert(key);
+    for (const auto& in : forward_inputs(exclude)) {
+      inputs[in.f].insert(in.tags.begin(), in.tags.end());
     }
     return covered_by(f, inputs);
   }
@@ -294,27 +312,19 @@ struct NaiveIndex {
     }
     return out;
   }
-
-  [[nodiscard]] std::vector<Filter> overlapping_filters(const Filter& f) const {
-    std::vector<Filter> out;
-    const auto consider = [&](const Filter& g) {
-      if (f.overlaps(g)) out.push_back(g);
-    };
-    for (const auto& [link, fs] : remote) {
-      for (const auto& [g, tags] : fs) consider(g);
-    }
-    for (const auto& [key, ent] : locals) consider(ent.first);
-    for (const auto& [key, ent] : virtuals) consider(ent.first);
-    for (const auto& [key, ent] : transits) consider(ent.second);
-    std::sort(out.begin(), out.end());
-    out.erase(std::unique(out.begin(), out.end()), out.end());
-    return out;
-  }
 };
 
 void expect_index_same(const CoverIndex& index, const NaiveIndex& naive,
                        const Filter& probe, const SubKey& probe_key,
                        LinkId exclude) {
+  const auto want_inputs = naive.forward_inputs(exclude);
+  const auto got_inputs = index.forward_inputs(exclude);
+  ASSERT_EQ(want_inputs.size(), got_inputs.size());
+  for (std::size_t i = 0; i < want_inputs.size(); ++i) {
+    EXPECT_EQ(want_inputs[i].f, got_inputs[i].f) << "forward_inputs[" << i << "]";
+    EXPECT_EQ(want_inputs[i].tags, got_inputs[i].tags)
+        << "forward_inputs[" << i << "]";
+  }
   EXPECT_EQ(naive.covered_inputs(probe, exclude),
             index.covered_inputs(probe, exclude))
       << "covered_inputs diverges on " << probe.to_string();
@@ -333,8 +343,6 @@ void expect_index_same(const CoverIndex& index, const NaiveIndex& naive,
       EXPECT_EQ(want[i].tag_count, got[i].tag_count);
     }
   }
-  EXPECT_EQ(naive.overlapping_filters(probe), index.overlapping_filters(probe))
-      << "overlapping_filters diverges on " << probe.to_string();
 }
 
 TEST(CoverIndex, AgreesWithLinearUnderChurn) {
@@ -343,7 +351,7 @@ TEST(CoverIndex, AgreesWithLinearUnderChurn) {
   NaiveIndex naive;
   std::vector<std::pair<LinkId, Filter>> live_remote;
   std::uint32_t next_key = 1;
-  std::vector<SubKey> live_locals, live_virtuals, live_transits;
+  std::vector<SubKey> live_locals, live_virtuals;
   std::vector<SubKey> key_pool;
   for (std::uint32_t k = 1; k <= 12; ++k) {
     key_pool.push_back(SubKey{ClientId(k), 1});
@@ -357,7 +365,7 @@ TEST(CoverIndex, AgreesWithLinearUnderChurn) {
   };
 
   for (std::size_t step = 0; step < 2000; ++step) {
-    switch (rng.index(10)) {
+    switch (rng.index(8)) {
       case 0: {  // upsert remote (fresh entry or tag-replace)
         const LinkId link(static_cast<std::uint32_t>(rng.uniform_u64(1, 3)));
         const bool fresh = live_remote.empty() || rng.bernoulli(0.6);
@@ -391,13 +399,14 @@ TEST(CoverIndex, AgreesWithLinearUnderChurn) {
         if (naive.remote[link].empty()) naive.remote.erase(link);
         break;
       }
-      case 3: {  // add/replace local
-        const SubKey key{ClientId(next_key++), 1};
+      case 3: {  // add or replace local
+        const bool fresh = live_locals.empty() || rng.bernoulli(0.75);
+        const SubKey key =
+            fresh ? SubKey{ClientId(next_key++), 1} : rng.pick(live_locals);
         const Filter f = random_filter(rng);
-        const bool ld = rng.bernoulli(0.25);
-        index.upsert_local(key, f, ld);
-        naive.locals[key] = {f, ld};
-        live_locals.push_back(key);
+        index.upsert_local(key, f);
+        naive.locals[key] = f;
+        if (fresh) live_locals.push_back(key);
         break;
       }
       case 4: {  // remove local
@@ -408,13 +417,14 @@ TEST(CoverIndex, AgreesWithLinearUnderChurn) {
         live_locals.erase(live_locals.begin() + static_cast<std::ptrdiff_t>(i));
         break;
       }
-      case 5: {  // add/replace virtual
-        const SubKey key{ClientId(next_key++), 2};
+      case 5: {  // add or replace virtual
+        const bool fresh = live_virtuals.empty() || rng.bernoulli(0.75);
+        const SubKey key =
+            fresh ? SubKey{ClientId(next_key++), 2} : rng.pick(live_virtuals);
         const Filter f = random_filter(rng);
-        const bool ld = rng.bernoulli(0.25);
-        index.upsert_virtual(key, f, ld);
-        naive.virtuals[key] = {f, ld};
-        live_virtuals.push_back(key);
+        index.upsert_virtual(key, f);
+        naive.virtuals[key] = f;
+        if (fresh) live_virtuals.push_back(key);
         break;
       }
       case 6: {  // remove virtual
@@ -423,26 +433,6 @@ TEST(CoverIndex, AgreesWithLinearUnderChurn) {
         index.remove_virtual(live_virtuals[i]);
         naive.virtuals.erase(live_virtuals[i]);
         live_virtuals.erase(live_virtuals.begin() +
-                            static_cast<std::ptrdiff_t>(i));
-        break;
-      }
-      case 7: {  // upsert transit (fresh or re-pointed)
-        const bool fresh = live_transits.empty() || rng.bernoulli(0.5);
-        const SubKey key = fresh ? SubKey{ClientId(next_key++), 3}
-                                 : rng.pick(live_transits);
-        const LinkId toward(static_cast<std::uint32_t>(rng.uniform_u64(1, 3)));
-        const Filter f = random_filter(rng);
-        index.upsert_transit(key, toward, f);
-        naive.transits[key] = {toward, f};
-        if (fresh) live_transits.push_back(key);
-        break;
-      }
-      case 8: {  // remove transit
-        if (live_transits.empty()) break;
-        const std::size_t i = rng.index(live_transits.size());
-        index.remove_transit(live_transits[i]);
-        naive.transits.erase(live_transits[i]);
-        live_transits.erase(live_transits.begin() +
                             static_cast<std::ptrdiff_t>(i));
         break;
       }
@@ -460,9 +450,9 @@ TEST(CoverIndex, AgreesWithLinearUnderChurn) {
   for (const auto& [link, f] : live_remote) index.remove_remote(link, f);
   for (const SubKey& k : live_locals) index.remove_local(k);
   for (const SubKey& k : live_virtuals) index.remove_virtual(k);
-  for (const SubKey& k : live_transits) index.remove_transit(k);
   EXPECT_EQ(index.entry_count(), 0u);
   EXPECT_TRUE(index.covered_inputs(random_filter(rng), LinkId{}).empty());
+  EXPECT_TRUE(index.forward_inputs(LinkId{}).empty());
 }
 
 // ---------------------------------------------------------------------------
@@ -471,7 +461,7 @@ TEST(CoverIndex, AgreesWithLinearUnderChurn) {
 
 TEST(CoverEngine, EmptyFilterCoversEverything) {
   // An empty filter covers every filter and is covered only by empty
-  // filters; it overlaps everything.
+  // filters.
   Filter empty;
   Filter narrow;
   narrow.where("x", Constraint::eq(1));
@@ -485,8 +475,6 @@ TEST(CoverEngine, EmptyFilterCoversEverything) {
   engine.covers_of(empty, out);
   EXPECT_EQ(out, (std::vector<std::uint32_t>{se}));
   engine.covers_of(narrow, out);
-  EXPECT_EQ(out, (std::vector<std::uint32_t>{se, sn}));
-  engine.overlapping(empty, out);
   EXPECT_EQ(out, (std::vector<std::uint32_t>{se, sn}));
 }
 

@@ -38,6 +38,7 @@ namespace rebeca::broker::testing {
 
 using filter::Filter;
 using filter::Notification;
+using routing::ForwardInput;
 using routing::ForwardSet;
 using routing::MatchHits;
 
@@ -54,10 +55,12 @@ struct PlaneReference {
     return out;
   }
 
-  /// Compares the admin plane of `b` (CoverIndex and the indexed forward
-  /// set) against its references; same result shape as audit_data.
+  /// Compares the admin plane of `b` (CoverIndex's inputs and queries,
+  /// and the indexed forward set) against its references; same result
+  /// shape as audit_data.
   static std::vector<std::string> audit_admin(const Broker& b) {
     std::vector<std::string> out;
+    check_forward_inputs(b, out);
     check_junctions(b, out);
     check_moveouts(b, out);
     check_covered_inputs(b, out);
@@ -235,10 +238,63 @@ struct PlaneReference {
     }
   }
 
+  /// refresh_link's inputs toward `exclude` by the table scan the broker
+  /// ran before CoverIndex held them: remote entries of the other links,
+  /// then local subscriptions, then virtual counterparts, each skipping
+  /// location-dependent state (it travels on its own plane).
+  static std::vector<ForwardInput> scanned_inputs(const Broker& b,
+                                                  LinkId exclude) {
+    std::vector<ForwardInput> inputs;
+    for (const auto& [lid, fs] : b.remote_) {
+      if (lid == exclude) continue;
+      for (const auto& [f, tags] : fs) inputs.push_back({f, tags});
+    }
+    for (const auto& [client, session] : b.sessions_) {
+      for (const auto& [sub_id, sub] : session.subs) {
+        if (!sub.is_ld()) inputs.push_back({sub.concrete, {sub.key}});
+      }
+    }
+    for (const auto& [key, v] : b.virtuals_) {
+      if (!v.ld) inputs.push_back({v.f, {key}});
+    }
+    return inputs;
+  }
+
+  static std::string show(const std::vector<ForwardInput>& inputs) {
+    std::ostringstream os;
+    for (const auto& in : inputs) {
+      os << in.f << "->{";
+      for (const SubKey& k : in.tags) os << k << ' ';
+      os << "} ";
+    }
+    return os.str();
+  }
+
+  /// refresh_link: CoverIndex::forward_inputs against the table scan,
+  /// element by element (order included) for every exclude link.
+  static void check_forward_inputs(const Broker& b,
+                                   std::vector<std::string>& out) {
+    for (const LinkId ex : excludes(b)) {
+      const auto ref = scanned_inputs(b, ex);
+      const auto indexed = b.cover_index_.forward_inputs(ex);
+      const bool same = std::equal(
+          ref.begin(), ref.end(), indexed.begin(), indexed.end(),
+          [](const ForwardInput& x, const ForwardInput& y) {
+            return x.f == y.f && x.tags == y.tags;
+          });
+      if (!same) {
+        std::ostringstream os;
+        os << where(b) << "forward_inputs(exclude " << ex
+           << "): " << show(ref) << " vs " << show(indexed);
+        out.push_back(os.str());
+      }
+    }
+  }
+
   /// The forward-set inputs toward `lid`, identity-collapsed.
   static ForwardSet collapsed_inputs(const Broker& b, LinkId lid) {
     ForwardSet inputs;
-    for (const auto& in : b.collect_inputs_excluding(lid)) {
+    for (const auto& in : scanned_inputs(b, lid)) {
       inputs[in.f].insert(in.tags.begin(), in.tags.end());
     }
     return inputs;
@@ -267,7 +323,7 @@ struct PlaneReference {
   static void check_forward_sets(const Broker& b,
                                  std::vector<std::string>& out) {
     for (const net::Link* link : b.broker_links_) {
-      const auto inputs = b.collect_inputs_excluding(link->id());
+      const auto inputs = scanned_inputs(b, link->id());
       const ForwardSet ref =
           routing::compute_forward_set(b.config_.strategy, inputs);
       const ForwardSet indexed = routing::compute_forward_set(
