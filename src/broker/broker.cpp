@@ -9,7 +9,8 @@
 namespace rebeca::broker {
 
 Broker::Broker(sim::Executor& sim, NodeId id, BrokerConfig config)
-    : sim_(sim), id_(id), config_(std::move(config)) {
+    : sim_(sim), id_(id), config_(std::move(config)),
+      cover_index_(config_.strategy) {
   lane_affinity_.bind(&sim_);
 }
 
@@ -20,6 +21,7 @@ void Broker::attach_broker_link(net::Link& link) {
   links_by_id_.emplace(link.id(), &link);
   remote_[link.id()];
   sent_[link.id()];
+  cover_index_.add_view(link.id());
 }
 
 void Broker::attach_client_link(net::Link& link) {
@@ -106,12 +108,52 @@ bool Broker::adv_allows(LinkId link, const filter::Filter& f) const {
   return false;
 }
 
+namespace {
+
+using ViewEntry = routing::CoverIndex::ViewEntry;
+
+/// One re-expose pin judged at a refresh: `natural` is the pin's entry
+/// in the natural target (`f` borrows the pin map's key); `keep` forces
+/// it into the target with its natural tags.
+struct PinVerdict {
+  ViewEntry natural;
+  bool keep = false;
+};
+
+/// The pin rule (see Broker::reexpose_pins_) for one link's pins, in
+/// Filter order. A pin decays when the natural target holds it
+/// (`natural(pin).elected`), when no input backs it any more (empty
+/// tags), or when a target entry covering it — a natural one
+/// (`superseded(pin, serves_no_mover)`) or an earlier kept pin — serves
+/// none of its movers.
+template <typename Natural, typename Superseded>
+std::vector<PinVerdict> judge_pins(
+    const std::map<filter::Filter, std::set<SubKey>>& pins, Natural natural,
+    Superseded superseded) {
+  std::vector<PinVerdict> out;
+  out.reserve(pins.size());
+  for (const auto& [pin, movers] : pins) {
+    PinVerdict v{natural(pin), false};
+    v.natural.f = &pin;
+    const auto serves_no_mover = [&](const std::set<SubKey>& tags) {
+      return std::none_of(movers.begin(), movers.end(),
+                          [&](const SubKey& k) { return tags.count(k) != 0; });
+    };
+    v.keep = !v.natural.elected && !v.natural.tags.empty() &&
+             !superseded(pin, serves_no_mover) &&
+             std::none_of(out.begin(), out.end(), [&](const PinVerdict& w) {
+               return w.keep && w.natural.f->covers(pin) &&
+                      serves_no_mover(w.natural.tags);
+             });
+    out.push_back(std::move(v));
+  }
+  return out;
+}
+
+}  // namespace
+
 void Broker::refresh_link(net::Link& link) {
   const LinkId lid = link.id();
-  const auto inputs = cover_index_.forward_inputs(lid);
-  auto target = routing::compute_forward_set(config_.strategy, inputs,
-                                             routing::AdminIndex::index);
-
   // Re-expose pins: filters force-exposed on this link by the moveout
   // protocol stay in the target until the covering conflict resolves —
   // the natural target contains them again (the covering input died and
@@ -119,64 +161,125 @@ void Broker::refresh_link(net::Link& link) {
   // gone (the covered subscriber left too), or — pin decay, the churn
   // rule — the target holds a covering entry served by subscribers other
   // than the recorded movers: the covered filter has a live wire
-  // representative again, so the pin would only ride redundantly.
-  if (auto pit = reexpose_pins_.find(lid); pit != reexpose_pins_.end()) {
-    auto& pins = pit->second;
-    for (auto it = pins.begin(); it != pins.end();) {
-      const filter::Filter& pin = it->first;
-      const std::set<SubKey>& movers = it->second;
-      if (target.count(pin) != 0) {
-        it = pins.erase(it);
-        continue;
-      }
-      std::set<SubKey> tags;
-      for (const auto& in : inputs) {
-        if (in.f == pin) tags.insert(in.tags.begin(), in.tags.end());
-      }
-      if (tags.empty()) {
-        it = pins.erase(it);
-        continue;
-      }
-      const bool superseded = std::any_of(
-          target.begin(), target.end(), [&](const auto& entry) {
-            // target.count(pin) == 0 above, so entry.first != pin here.
-            if (!entry.first.covers(pin)) return false;
-            return std::none_of(movers.begin(), movers.end(),
-                                [&](const SubKey& k) {
-                                  return entry.second.count(k) != 0;
-                                });
+  // representative again, so the pin would only ride redundantly. Pins
+  // are judged at every refresh.
+  auto pit = reexpose_pins_.find(lid);
+  std::vector<PinVerdict> verdicts;
+  if (config_.strategy == routing::Strategy::merging) {
+    // Merging re-merges the whole elected set, so its target is no
+    // function of the dirty filters alone: diff it in full.
+    auto target = cover_index_.forward_set(lid);
+    if (pit != reexpose_pins_.end()) {
+      verdicts = judge_pins(
+          pit->second,
+          [&](const filter::Filter& pin) {
+            ViewEntry e = cover_index_.entry(lid, pin);
+            e.elected = target.count(pin) != 0;
+            return e;
+          },
+          [&](const filter::Filter& pin, const auto& serves_no_mover) {
+            return std::any_of(target.begin(), target.end(),
+                               [&](const auto& entry) {
+                                 return entry.first.covers(pin) &&
+                                        serves_no_mover(entry.second);
+                               });
           });
-      if (superseded) {
-        it = pins.erase(it);
-        continue;
+      for (const PinVerdict& v : verdicts) {
+        if (v.keep) target[*v.natural.f] = v.natural.tags;
       }
-      target[pin] = std::move(tags);
-      ++it;
+    }
+    if (config_.use_advertisements) {
+      std::erase_if(target, [&](const auto& entry) {
+        return !adv_allows(lid, entry.first);
+      });
+    }
+    auto program = routing::diff_forward_sets(sent_[lid], target);
+    for (auto& step : program.steps) {
+      if (step.kind == routing::DiffStep::Kind::upsert) {
+        send(link, net::SubscribeMsg{std::move(step.f), std::move(step.tags)});
+      } else {
+        send(link, net::UnsubscribeMsg{std::move(step.f)});
+      }
+    }
+    sent_[lid] = std::move(target);
+  } else {
+    // Only the dirty filters and the pins can differ from what was sent.
+    std::vector<ViewEntry> wanted = cover_index_.dirty(lid);
+    if (pit != reexpose_pins_.end()) {
+      std::vector<ViewEntry> covering;
+      verdicts = judge_pins(
+          pit->second,
+          [&](const filter::Filter& pin) { return cover_index_.entry(lid, pin); },
+          [&](const filter::Filter& pin, const auto& serves_no_mover) {
+            cover_index_.elected_covering(lid, pin, covering);
+            return std::any_of(covering.begin(), covering.end(),
+                               [&](const ViewEntry& e) {
+                                 return serves_no_mover(e.tags);
+                               });
+          });
+      // Merge the pins into the Filter-ordered dirty entries; a pin's
+      // verdict replaces its filter's natural entry.
+      std::vector<ViewEntry> merged;
+      merged.reserve(wanted.size() + verdicts.size());
+      auto w = wanted.begin();
+      for (const PinVerdict& v : verdicts) {
+        while (w != wanted.end() && *w->f < *v.natural.f) {
+          merged.push_back(std::move(*w++));
+        }
+        if (w != wanted.end() && !(*v.natural.f < *w->f)) ++w;
+        merged.push_back(v.natural);
+        merged.back().elected = v.natural.elected || v.keep;
+      }
+      merged.insert(merged.end(), std::make_move_iterator(w),
+                    std::make_move_iterator(wanted.end()));
+      wanted = std::move(merged);
+    }
+    if (config_.use_advertisements) {
+      for (ViewEntry& e : wanted) {
+        if (e.elected && !adv_allows(lid, *e.f)) e.elected = false;
+      }
+    }
+    // The ordered program diff_forward_sets would emit — upserts strictly
+    // before prunes, so on the FIFO link a covered filter is installed at
+    // the peer before its covering representative disappears.
+    auto& sent = sent_[lid];
+    for (ViewEntry& e : wanted) {
+      if (!e.elected) continue;
+      auto it = sent.find(*e.f);
+      if (it != sent.end() && it->second == e.tags) continue;
+      if (it == sent.end()) {
+        sent.emplace(*e.f, e.tags);
+      } else {
+        it->second = e.tags;
+      }
+      send(link, net::SubscribeMsg{*e.f, std::move(e.tags)});
+    }
+    for (const ViewEntry& e : wanted) {
+      if (e.elected) continue;
+      auto it = sent.find(*e.f);
+      if (it == sent.end()) continue;
+      sent.erase(it);
+      send(link, net::UnsubscribeMsg{*e.f});
+    }
+  }
+  if (pit != reexpose_pins_.end()) {
+    auto& pins = pit->second;
+    auto it = pins.begin();
+    for (const PinVerdict& v : verdicts) {
+      it = v.keep ? std::next(it) : pins.erase(it);
     }
     if (pins.empty()) reexpose_pins_.erase(pit);
   }
+  cover_index_.clear_dirty(lid);
+}
 
-  if (config_.use_advertisements) {
-    for (auto it = target.begin(); it != target.end();) {
-      if (!adv_allows(lid, it->first)) {
-        it = target.erase(it);
-      } else {
-        ++it;
-      }
-    }
+void Broker::mark_adv_dirty(const AdvEntry& adv) {
+  // adv_allows reads only the broker-sourced advertisements of the link
+  // a filter would travel on: every filter of that link's view may flip.
+  if (config_.use_advertisements && !adv.from_client &&
+      links_by_id_.count(adv.from_link) != 0) {
+    cover_index_.mark_all_dirty(adv.from_link);
   }
-  // The diff is an ordered program: upserts strictly before prunes, so
-  // on the FIFO link a covered filter is installed at the peer before
-  // its covering representative disappears.
-  auto program = routing::diff_forward_sets(sent_[lid], target);
-  for (auto& step : program.steps) {
-    if (step.kind == routing::DiffStep::Kind::upsert) {
-      send(link, net::SubscribeMsg{std::move(step.f), std::move(step.tags)});
-    } else {
-      send(link, net::UnsubscribeMsg{std::move(step.f)});
-    }
-  }
-  sent_[lid] = std::move(target);
 }
 
 void Broker::refresh_all_links() {
@@ -205,7 +308,10 @@ void Broker::on_unsubscribe(net::Link& from, const net::UnsubscribeMsg& m) {
 
 void Broker::on_advertise(net::Link& from, const net::AdvertiseMsg& m,
                           bool from_client) {
-  advs_[m.id] = AdvEntry{m.f, from_client, from.id()};
+  AdvEntry& adv = advs_[m.id];
+  mark_adv_dirty(adv);  // a re-advertisement may move the id between links
+  adv = AdvEntry{m.f, from_client, from.id()};
+  mark_adv_dirty(adv);
   // Advertisements flood (dedup per link), as in Rebeca.
   for (net::Link* link : broker_links_) {
     if (link->id() == from.id()) continue;
@@ -224,6 +330,7 @@ void Broker::on_unadvertise(net::Link& from, const net::UnadvertiseMsg& m) {
   auto it = advs_.find(m.id);
   if (it == advs_.end()) return;
   const bool was_client = it->second.from_client;
+  mark_adv_dirty(it->second);
   advs_.erase(it);
   for (net::Link* link : broker_links_) {
     if (link->id() == from.id()) continue;

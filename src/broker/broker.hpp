@@ -14,12 +14,12 @@
 //   ld_        location-dependent subscription state of subscriptions
 //              passing through this broker (Sec. 5)
 //
-// Subscription forwarding is recomputed, not incrementally patched: after
-// any state change the broker recomputes the per-link target forward set
-// under its routing strategy and sends only the diff — an ordered
-// program whose upserts precede its prunes (see routing/strategy.hpp).
-// Removing a virtual counterpart simply removes its input and the diffs
-// prune the old path; where the relocation protocol itself must prune a
+// Subscription forwarding follows the change, not the table: the admin
+// index keeps each link's target forward set up to date at every state
+// change and marks the filters whose target entry changed; the broker
+// sends only those — an ordered program whose upserts precede its prunes
+// (see routing/strategy.hpp). Removing a virtual counterpart simply
+// removes its input and the diffs prune the old path; where the relocation protocol itself must prune a
 // covering entry (the fetch path under covering/merging routing), the
 // two-phase uncover-before-prune handshake (ReExposeMsg/ReExposeAckMsg)
 // first re-exposes every covered downstream subscription hop by hop.
@@ -293,8 +293,14 @@ class Broker final : public net::Endpoint {
   void on_client_move(net::Link& from, const net::ClientMoveMsg& m);
 
   // ---------- forwarding machinery ----------
+  /// Reconciles sent_[link] with the link's effective target — its
+  /// view's forward set, plus kept re-expose pins, minus what the
+  /// advertisements disallow — over the view's dirty filters and the
+  /// link's pins only.
   void refresh_link(net::Link& link);
   void refresh_all_links();
+  /// Marks dirty the whole view whose filters `adv` gates.
+  void mark_adv_dirty(const AdvEntry& adv);
   [[nodiscard]] bool adv_allows(LinkId link, const filter::Filter& f) const;
 
   // ---------- notification path ----------
@@ -392,9 +398,11 @@ class Broker final : public net::Endpoint {
 
   /// Admin-plane covering index over the forward-set inputs (remote
   /// tables, non-LD local subs and virtuals), maintained next to index_
-  /// at every table mutation. It is the only copy of refresh_link's
-  /// inputs, and the admin plane answer_reexpose / dispatch_fetch /
-  /// begin_moveout / on_fetch query.
+  /// at every table mutation. It is the only copy of those inputs, keeps
+  /// each broker link's forward view (refresh_link reconciles its dirty
+  /// filters), and is the admin plane answer_reexpose / dispatch_fetch /
+  /// begin_moveout / on_fetch query. Invariant: outside a link's dirty
+  /// set, sent_[link] equals the link's effective target (refresh_link).
   routing::CoverIndex cover_index_;
   mutable std::vector<LinkId> cover_links_;  // query scratch
 

@@ -580,6 +580,7 @@ void Broker::answer_reexpose(net::Link& to, const SubKey& key,
     auto sit = sentfs.find(g);
     if (sit != sentfs.end() && sit->second == tags) continue;
     sentfs[g] = tags;
+    cover_index_.mark_dirty(lid, g);  // sent_ left the view's target
     ++reexposed_filters_;
     send(to, net::SubscribeMsg{g, std::move(tags)});
   }

@@ -2,6 +2,7 @@
 
 #include <fstream>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <utility>
 #include <vector>
@@ -211,6 +212,16 @@ sim::Duration duration_ms(double ms, const std::string& where, bool positive) {
   return d;
 }
 
+sim::Duration phase_end(sim::Duration end, sim::Duration duration,
+                        const std::string& where, const std::string& name) {
+  // end <= the bound on entry, so the subtraction cannot overflow.
+  if (duration > sim::millis(1e12) - end) {
+    fail(where + ".duration_ms",
+         "phase \"" + name + "\" ends past 1e12 milliseconds");
+  }
+  return end + duration;
+}
+
 std::size_t count_field(const JsonValue& v, const std::string& key,
                         std::size_t fallback, const std::string& where) {
   const std::int64_t n = v.int_or(key, static_cast<std::int64_t>(fallback));
@@ -283,8 +294,18 @@ location::LdSpec parse_ld_spec(const JsonValue& v, const std::string& where) {
 // Clients
 // ---------------------------------------------------------------------------
 
+/// A from_phase / until_phase_end reference: the name of a declared
+/// phase, or a field error (the scenario would otherwise assert on it
+/// at run time).
+std::string phase_ref(const JsonValue& v, const std::string& where,
+                      const std::set<std::string>& phases) {
+  std::string name = v.as_string(where);
+  if (phases.count(name) == 0) fail(where, "unknown phase \"" + name + "\"");
+  return name;
+}
+
 void apply_client(const JsonValue& v, const std::string& where,
-                  ScenarioBuilder& b) {
+                  const std::set<std::string>& phases, ScenarioBuilder& b) {
   const std::string name = v.get("name", where).as_string(where + ".name");
   scenario::ClientSpec& c = b.client(name);
   if (const JsonValue* id = v.find("id")) {
@@ -357,10 +378,11 @@ void apply_client(const JsonValue& v, const std::string& where,
         spec.with_seed(static_cast<std::uint64_t>(seed->as_int(w + ".seed")));
       }
       if (const JsonValue* from = p.find("from_phase")) {
-        spec.from_phase(from->as_string(w + ".from_phase"));
+        spec.from_phase(phase_ref(*from, w + ".from_phase", phases));
       }
       if (const JsonValue* until = p.find("until_phase_end")) {
-        spec.until_phase_end(until->as_string(w + ".until_phase_end"));
+        spec.until_phase_end(
+            phase_ref(*until, w + ".until_phase_end", phases));
       }
       c.publishes(std::move(spec));
     }
@@ -397,7 +419,7 @@ void apply_client(const JsonValue& v, const std::string& where,
         spec.with_seed(static_cast<std::uint64_t>(seed->as_int(w + ".seed")));
       }
       if (const JsonValue* from = r.find("from_phase")) {
-        spec.from_phase(from->as_string(w + ".from_phase"));
+        spec.from_phase(phase_ref(*from, w + ".from_phase", phases));
       }
       c.roams(std::move(spec));
     }
@@ -427,7 +449,7 @@ void apply_client(const JsonValue& v, const std::string& where,
         spec.with_seed(static_cast<std::uint64_t>(seed->as_int(w + ".seed")));
       }
       if (const JsonValue* from = wv.find("from_phase")) {
-        spec.from_phase(from->as_string(w + ".from_phase"));
+        spec.from_phase(phase_ref(*from, w + ".from_phase", phases));
       }
       c.walks(std::move(spec));
     }
@@ -478,12 +500,14 @@ std::function<void(scenario::Scenario&)> parse_action(const JsonValue& v,
   fail(where + ".action", "unknown action \"" + action + "\"");
 }
 
+/// Appends one phase; `end` is the running end of the phases before it.
 void apply_phase(const JsonValue& v, const std::string& where,
-                 ScenarioBuilder& b) {
+                 sim::Duration& end, ScenarioBuilder& b) {
   const std::string name = v.get("name", where).as_string(where + ".name");
   const sim::Duration duration = duration_ms(
       v.get("duration_ms", where).as_number(where + ".duration_ms"),
       where + ".duration_ms");
+  end = phase_end(end, duration, where, name);
   std::function<void(scenario::Scenario&)> on_enter;
   if (const JsonValue* actions = v.find("on_enter")) {
     std::vector<std::function<void(scenario::Scenario&)>> steps;
@@ -529,17 +553,25 @@ void apply_config(const JsonValue& root, ScenarioBuilder& b) {
   }
   b.overlay(std::move(overlay));
 
+  std::set<std::string> phase_names;
   std::size_t i = 0;
-  for (const JsonValue& c : root.get("clients", "").items()) {
-    std::ostringstream w;
-    w << "clients[" << i++ << "]";
-    apply_client(c, w.str(), b);
-  }
-  i = 0;
   for (const JsonValue& p : root.get("phases", "").items()) {
     std::ostringstream w;
     w << "phases[" << i++ << "]";
-    apply_phase(p, w.str(), b);
+    phase_names.insert(p.get("name", w.str()).as_string(w.str() + ".name"));
+  }
+  i = 0;
+  for (const JsonValue& c : root.get("clients", "").items()) {
+    std::ostringstream w;
+    w << "clients[" << i++ << "]";
+    apply_client(c, w.str(), phase_names, b);
+  }
+  i = 0;
+  sim::Duration end = 0;
+  for (const JsonValue& p : root.get("phases", "").items()) {
+    std::ostringstream w;
+    w << "phases[" << i++ << "]";
+    apply_phase(p, w.str(), end, b);
   }
 
   if (const JsonValue* cp = root.find("checkpoint_every_ms")) {
@@ -567,14 +599,17 @@ scenario::SweepConfig parse_sweep(const JsonValue& root) {
   const JsonValue* sweep = root.find("sweep");
   if (sweep == nullptr) return cfg;
   if (const JsonValue* seeds = sweep->find("seeds")) {
+    std::size_t i = 0;
     for (const JsonValue& s : seeds->items()) {
-      cfg.seeds.push_back(static_cast<std::uint64_t>(s.as_int("sweep.seeds")));
+      const std::string where = "sweep.seeds[" + std::to_string(i++) + "]";
+      const std::int64_t seed = s.as_int(where);
+      if (seed < 0) fail(where, "must be >= 0");
+      cfg.seeds.push_back(static_cast<std::uint64_t>(seed));
     }
   }
-  cfg.base_seed =
-      static_cast<std::uint64_t>(sweep->int_or("base_seed", 1));
-  cfg.runs = static_cast<std::size_t>(sweep->int_or("runs", 1));
-  cfg.threads = static_cast<std::size_t>(sweep->int_or("threads", 0));
+  cfg.base_seed = count_field(*sweep, "base_seed", 1, "sweep");
+  cfg.runs = count_field(*sweep, "runs", 1, "sweep");
+  cfg.threads = count_field(*sweep, "threads", 0, "sweep");
   return cfg;
 }
 

@@ -55,6 +55,13 @@ struct RunSpec {
 /// times), is at least 1 ns.
 [[nodiscard]] sim::Duration duration_ms(double ms, const std::string& where,
                                         bool positive = false);
+/// The running end of a phase list after appending phase `name` (at
+/// `where`) of `duration`: JsonError naming `where`.duration_ms if the
+/// end passes 1e12 ms, where summed durations would near int64 ticks.
+[[nodiscard]] sim::Duration phase_end(sim::Duration end,
+                                      sim::Duration duration,
+                                      const std::string& where,
+                                      const std::string& name);
 /// Integer field `key` of `v` (`fallback` if absent) as a count:
 /// JsonError naming `where`.`key` if negative.
 [[nodiscard]] std::size_t count_field(const JsonValue& v,

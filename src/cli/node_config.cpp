@@ -59,8 +59,9 @@ std::map<std::string, PhaseWindow> parse_phases(const JsonValue& root,
     const sim::Duration d = duration_ms(
         p.get("duration_ms", w.str()).as_number(w.str() + ".duration_ms"),
         w.str() + ".duration_ms");
-    windows[name] = PhaseWindow{total, total + d};
-    total += d;
+    const sim::Duration end = phase_end(total, d, w.str(), name);
+    windows[name] = PhaseWindow{total, end};
+    total = end;
   }
   return windows;
 }

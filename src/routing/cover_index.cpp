@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <optional>
+#include <utility>
 
 #include "src/util/assert.hpp"
 
@@ -696,13 +697,155 @@ void CoverEngine::covered_by_of(const filter::Filter& f,
 // CoverIndex: plane maintenance
 // ---------------------------------------------------------------------------
 
-void CoverIndex::set_info(std::uint32_t slot, SlotInfo info) {
-  if (slot >= info_.size()) info_.resize(slot + 1);
-  info_[slot] = std::move(info);
+CoverIndex::CoverIndex(Strategy strategy) : strategy_(strategy) {}
+
+std::set<SubKey>* CoverIndex::Distinct::remote_tags(LinkId link) {
+  for (auto& [from, tags] : remote) {
+    if (from == link) return &tags;
+  }
+  return nullptr;
 }
 
-void CoverIndex::tag_link(const SubKey& key, LinkId link) {
-  ++tag_links_[key][link];
+const std::set<SubKey>* CoverIndex::Distinct::remote_tags(LinkId link) const {
+  for (const auto& [from, tags] : remote) {
+    if (from == link) return &tags;
+  }
+  return nullptr;
+}
+
+bool CoverIndex::Distinct::present(LinkId link) const {
+  if (!keyed.empty() || remote.size() > 1) return true;
+  return remote.size() == 1 && remote.front().first != link;
+}
+
+bool CoverIndex::Distinct::is_elected(LinkId link) const {
+  return std::find(elected.begin(), elected.end(), link) != elected.end();
+}
+
+std::set<SubKey> CoverIndex::Distinct::tags(LinkId link) const {
+  std::set<SubKey> out(keyed.begin(), keyed.end());
+  for (const auto& [from, keys] : remote) {
+    if (from != link) out.insert(keys.begin(), keys.end());
+  }
+  return out;
+}
+
+CoverIndex::Distinct& CoverIndex::acquire(const filter::Filter& f) {
+  auto [it, inserted] = distinct_.try_emplace(f);
+  if (inserted) it->second.f = &it->first;  // map keys are address-stable
+  return it->second;
+}
+
+CoverIndex::Distinct* CoverIndex::find(const filter::Filter& f) {
+  auto it = distinct_.find(f);
+  return it == distinct_.end() ? nullptr : &it->second;
+}
+
+/// `mutate` changes d's sources; `except` names the link whose own
+/// routing entry changed (its view never holds that entry), or none.
+/// Registers or drops d in engine_ as it gains its first or loses its
+/// last source, and moves every other view along: a filter entering a
+/// view runs the election rule, one leaving it is unelected, and one
+/// that stays has its tags changed (dirty when elected).
+template <typename Mutate>
+void CoverIndex::change_sources(Distinct& d, LinkId except, Mutate mutate) {
+  const bool had_source = d.has_source();
+  std::vector<char> before;
+  before.reserve(views_.size());
+  for (const auto& [link, dirty] : views_) before.push_back(d.present(link));
+  mutate();
+  if (!had_source && d.has_source()) {
+    d.slot = engine_.add(d.f);
+    if (d.slot >= owners_.size()) owners_.resize(d.slot + 1);
+    owners_[d.slot] = &d;
+  }
+  std::size_t i = 0;
+  for (auto& [link, dirty] : views_) {
+    const bool was = before[i++] != 0;
+    if (link == except) continue;
+    const bool is = d.present(link);
+    if (was && is) {
+      if (d.is_elected(link)) mark(dirty, d);
+    } else if (is) {
+      elect(link, dirty, d);
+    } else if (was) {
+      unelect(link, dirty, d);
+    }
+  }
+  if (had_source && !d.has_source()) {
+    engine_.remove(d.slot);
+    owners_[d.slot] = nullptr;
+    release(d);
+  }
+}
+
+void CoverIndex::mark(std::set<Ref>& dirty, Distinct& d) {
+  if (dirty.insert(Ref{&d}).second) ++d.dirty_marks;
+}
+
+/// Erases a filter nothing refers to any more: no source, no dirty mark.
+void CoverIndex::release(Distinct& d) {
+  if (d.has_source() || d.dirty_marks != 0) return;
+  REBECA_ASSERT(d.elected.empty(), "cover index: releasing an elected filter");
+  distinct_.erase(distinct_.find(*d.f));
+}
+
+/// The election rule for a filter entering the view: dominated by an
+/// elected member (covered by it, strictly or as the Filter-greater of
+/// a mutually covering pair), or elected, evicting the members it
+/// dominates — the step collapse_covering_indexed takes per input. ≻ is
+/// a strict partial order, so the elected set stays exactly the
+/// ≻-maximal filters in any insertion order. Both queries run on the
+/// index's engine (every view's filters are registered there once) and
+/// keep the hits the view elects.
+void CoverIndex::elect(LinkId link, std::set<Ref>& dirty, Distinct& d) {
+  if (strategy_ == Strategy::flooding) return;
+  const bool aggregate = strategy_aggregates(strategy_);
+  const filter::Filter& f = *d.f;
+  if (aggregate) {
+    engine_.covers_of(f, elect_scratch_);
+    for (const std::uint32_t s : elect_scratch_) {
+      const Distinct& g = *owners_[s];
+      if (&g == &d || !g.is_elected(link)) continue;
+      const filter::Filter& winner = *g.f;
+      if (!f.covers(winner) || winner < f) return;
+    }
+  }
+  d.elected.push_back(link);
+  mark(dirty, d);
+  if (!aggregate) return;
+  engine_.covered_by_of(f, elect_scratch_);
+  for (const std::uint32_t s : elect_scratch_) {
+    Distinct& g = *owners_[s];
+    if (&g == &d || !g.is_elected(link)) continue;
+    const filter::Filter& loser = *g.f;
+    if (loser.covers(f) && loser < f) continue;  // g wins the tie
+    std::erase(g.elected, link);
+    mark(dirty, g);
+  }
+}
+
+/// A filter leaving the view: if it was elected, the filters it covered
+/// that the view still holds run the election rule again, in Filter
+/// order. Only those can be newly undominated: anything the remaining
+/// elected members dominate stays dominated.
+void CoverIndex::unelect(LinkId link, std::set<Ref>& dirty, Distinct& d) {
+  if (!d.is_elected(link)) return;
+  std::erase(d.elected, link);
+  mark(dirty, d);
+  if (!strategy_aggregates(strategy_)) return;
+  engine_.covered_by_of(*d.f, query_scratch_);
+  std::vector<Ref> candidates;
+  for (const std::uint32_t s : query_scratch_) {
+    Distinct* covered = owners_[s];
+    if (covered == &d || covered->is_elected(link) ||
+        !covered->present(link)) {
+      continue;
+    }
+    candidates.push_back(Ref{covered});
+  }
+  std::sort(candidates.begin(), candidates.end());
+  for (const Ref& c : candidates) elect(link, dirty, *c.d);
 }
 
 void CoverIndex::untag_link(const SubKey& key, LinkId link) {
@@ -716,80 +859,86 @@ void CoverIndex::untag_link(const SubKey& key, LinkId link) {
 
 void CoverIndex::upsert_remote(LinkId link, const filter::Filter& f,
                                const std::set<SubKey>& tags) {
-  auto& table = remote_[link];
-  auto it = table.find(f);
-  if (it != table.end()) {
-    // Tag-only upsert: the filter (and its slot) is unchanged.
-    RemoteRec& rec = it->second;
-    for (const SubKey& key : rec.tags) {
-      if (tags.count(key) == 0) untag_link(key, link);
-    }
-    for (const SubKey& key : tags) {
-      if (rec.tags.count(key) == 0) tag_link(key, link);
-    }
-    rec.tags = tags;
+  Distinct& d = acquire(f);
+  std::set<SubKey>* tagged = d.remote_tags(link);
+  if (tagged == nullptr) {
+    ++sources_;
+    for (const SubKey& key : tags) ++tag_links_[key][link];
+    change_sources(d, link, [&] {
+      d.remote.insert(std::upper_bound(d.remote.begin(), d.remote.end(), link,
+                                       [](LinkId l, const auto& entry) {
+                                         return l < entry.first;
+                                       }),
+                      {link, tags});
+    });
     return;
   }
-  it = table.emplace(f, RemoteRec{}).first;
-  RemoteRec& rec = it->second;
-  rec.tags = tags;
-  rec.slot = engine_.add(&it->first);  // map keys are address-stable
-  set_info(rec.slot, SlotInfo{Source::remote, link, SubKey{}, &rec.tags});
-  for (const SubKey& key : tags) tag_link(key, link);
+  // Tag-only upsert: the filter and its election are unchanged.
+  for (const SubKey& key : *tagged) {
+    if (tags.count(key) == 0) untag_link(key, link);
+  }
+  for (const SubKey& key : tags) {
+    if (tagged->count(key) == 0) ++tag_links_[key][link];
+  }
+  change_sources(d, link, [&] { *tagged = tags; });
 }
 
 void CoverIndex::untag_remote(LinkId link, const filter::Filter& f,
                               const SubKey& key) {
-  auto lit = remote_.find(link);
-  REBECA_ASSERT(lit != remote_.end(), "cover index: untag on unknown link");
-  auto it = lit->second.find(f);
-  REBECA_ASSERT(it != lit->second.end(), "cover index: untag on unknown entry");
-  if (it->second.tags.erase(key) != 0) untag_link(key, link);
+  Distinct* d = find(f);
+  std::set<SubKey>* tagged = d != nullptr ? d->remote_tags(link) : nullptr;
+  REBECA_ASSERT(tagged != nullptr, "cover index: untag on unknown entry");
+  if (tagged->count(key) == 0) return;
+  untag_link(key, link);
+  change_sources(*d, link, [&] { tagged->erase(key); });
 }
 
 void CoverIndex::remove_remote(LinkId link, const filter::Filter& f) {
-  auto lit = remote_.find(link);
-  if (lit == remote_.end()) return;
-  auto it = lit->second.find(f);
-  if (it == lit->second.end()) return;
-  for (const SubKey& key : it->second.tags) untag_link(key, link);
-  engine_.remove(it->second.slot);
-  lit->second.erase(it);
-  if (lit->second.empty()) remote_.erase(lit);
+  Distinct* d = find(f);
+  std::set<SubKey>* tagged = d != nullptr ? d->remote_tags(link) : nullptr;
+  if (tagged == nullptr) return;
+  for (const SubKey& key : *tagged) untag_link(key, link);
+  --sources_;
+  change_sources(*d, link, [&] {
+    std::erase_if(d->remote,
+                  [&](const auto& entry) { return entry.first == link; });
+  });
 }
 
-void CoverIndex::upsert_keyed(std::map<SubKey, KeyedRec>& plane, Source source,
+void CoverIndex::upsert_keyed(std::map<SubKey, Distinct*>& plane,
                               const SubKey& key, const filter::Filter& f) {
   auto it = plane.find(key);
   if (it != plane.end()) {
-    // Unindex through the old filter *before* overwriting it: the
-    // engine borrows the record's storage.
-    engine_.remove(it->second.slot);
-  } else {
-    it = plane.emplace(key, KeyedRec{}).first;
+    if (*it->second->f == f) return;
+    remove_keyed(plane, key);
   }
-  KeyedRec& rec = it->second;
-  rec.f = f;
-  rec.slot = engine_.add(&rec.f);
-  set_info(rec.slot, SlotInfo{source, LinkId{}, key, nullptr});
+  Distinct& d = acquire(f);
+  ++sources_;
+  change_sources(d, LinkId{}, [&] { d.keyed.push_back(key); });
+  plane[key] = &d;
 }
 
-void CoverIndex::remove_keyed(std::map<SubKey, KeyedRec>& plane,
+void CoverIndex::remove_keyed(std::map<SubKey, Distinct*>& plane,
                               const SubKey& key) {
   auto it = plane.find(key);
   if (it == plane.end()) return;
-  engine_.remove(it->second.slot);
+  Distinct& d = *it->second;
   plane.erase(it);
+  --sources_;
+  change_sources(d, LinkId{}, [&] {
+    // One occurrence: the key may register the filter in both planes.
+    d.keyed.erase(std::find(d.keyed.begin(), d.keyed.end(), key));
+  });
 }
 
 void CoverIndex::upsert_local(const SubKey& key, const filter::Filter& f) {
-  upsert_keyed(local_, Source::local, key, f);
+  upsert_keyed(local_, key, f);
 }
 
 void CoverIndex::remove_local(const SubKey& key) { remove_keyed(local_, key); }
 
 void CoverIndex::upsert_virtual(const SubKey& key, const filter::Filter& f) {
-  upsert_keyed(virtual_, Source::virt, key, f);
+  upsert_keyed(virtual_, key, f);
 }
 
 void CoverIndex::remove_virtual(const SubKey& key) {
@@ -800,32 +949,14 @@ void CoverIndex::remove_virtual(const SubKey& key) {
 // CoverIndex: consumer queries
 // ---------------------------------------------------------------------------
 
-std::vector<ForwardInput> CoverIndex::forward_inputs(LinkId exclude) const {
-  std::vector<ForwardInput> out;
-  out.reserve(engine_.live());
-  for (const auto& [link, table] : remote_) {
-    if (link == exclude) continue;
-    for (const auto& [f, rec] : table) out.push_back({f, rec.tags});
-  }
-  for (const auto* plane : {&local_, &virtual_}) {
-    for (const auto& [key, rec] : *plane) out.push_back({rec.f, {key}});
-  }
-  return out;
-}
-
 ForwardSet CoverIndex::covered_inputs(const filter::Filter& f,
                                       LinkId exclude) const {
   engine_.covered_by_of(f, query_scratch_);
   ForwardSet out;
   for (const std::uint32_t slot : query_scratch_) {
-    const SlotInfo& si = info_[slot];
-    const filter::Filter& g = *engine_.filter_of(slot);
-    if (g == f) continue;
-    if (si.source == Source::remote) {
-      if (si.link != exclude) out[g].insert(si.tags->begin(), si.tags->end());
-    } else {
-      out[g].insert(si.key);
-    }
+    const Distinct& g = *owners_[slot];
+    if (*g.f == f || !g.present(exclude)) continue;
+    out.emplace(*g.f, g.tags(exclude));
   }
   return out;
 }
@@ -835,9 +966,8 @@ void CoverIndex::covering_links(const filter::Filter& f, LinkId exclude,
   engine_.covers_of(f, query_scratch_);
   out.clear();
   for (const std::uint32_t slot : query_scratch_) {
-    const SlotInfo& si = info_[slot];
-    if (si.source == Source::remote && si.link != exclude) {
-      out.push_back(si.link);
+    for (const auto& [link, tags] : owners_[slot]->remote) {
+      if (link != exclude) out.push_back(link);
     }
   }
   std::sort(out.begin(), out.end());
@@ -850,21 +980,91 @@ void CoverIndex::links_serving(const SubKey& key, LinkId exclude,
   auto it = tag_links_.find(key);
   if (it == tag_links_.end()) return;
   for (const auto& [link, count] : it->second) {
-    if (link != exclude && count > 0) out.push_back(link);
+    if (link != exclude) out.push_back(link);
   }
 }
 
 std::vector<MoveoutCandidate> CoverIndex::tagged_filters(
     LinkId link, const SubKey& key) const {
   std::vector<MoveoutCandidate> out;
-  auto lit = remote_.find(link);
-  if (lit == remote_.end()) return out;
-  for (const auto& [f, rec] : lit->second) {
-    if (rec.tags.count(key) != 0) {
-      out.push_back(MoveoutCandidate{f, rec.tags.size()});
+  auto kit = tag_links_.find(key);
+  if (kit == tag_links_.end() || kit->second.count(link) == 0) return out;
+  // One walk over the distinct filters, already in Filter order.
+  for (const auto& [f, d] : distinct_) {
+    const std::set<SubKey>* tags = d.remote_tags(link);
+    if (tags != nullptr && tags->count(key) != 0) {
+      out.push_back(MoveoutCandidate{f, tags->size()});
     }
   }
   return out;
+}
+
+// ---------------------------------------------------------------------------
+// CoverIndex: forward views
+// ---------------------------------------------------------------------------
+
+void CoverIndex::add_view(LinkId link) {
+  auto [it, inserted] = views_.try_emplace(link);
+  REBECA_ASSERT(inserted, "cover index: duplicate view for link " << link);
+  for (auto& [f, d] : distinct_) {
+    if (d.present(link)) elect(link, it->second, d);
+  }
+}
+
+CoverIndex::ViewEntry CoverIndex::view_entry(LinkId link,
+                                             const Distinct& d) const {
+  return ViewEntry{d.f, d.is_elected(link), d.tags(link)};
+}
+
+ForwardSet CoverIndex::forward_set(LinkId link) const {
+  ForwardSet out;
+  for (const auto& [f, d] : distinct_) {
+    if (d.is_elected(link)) out.emplace_hint(out.end(), f, d.tags(link));
+  }
+  return strategy_ == Strategy::merging ? merge_fixpoint(std::move(out)) : out;
+}
+
+std::vector<CoverIndex::ViewEntry> CoverIndex::dirty(LinkId link) const {
+  std::vector<ViewEntry> out;
+  for (const Ref& r : views_.at(link)) out.push_back(view_entry(link, *r.d));
+  return out;
+}
+
+CoverIndex::ViewEntry CoverIndex::entry(LinkId link,
+                                        const filter::Filter& f) const {
+  auto it = distinct_.find(f);
+  return it != distinct_.end() ? view_entry(link, it->second)
+                               : ViewEntry{&f, false, {}};
+}
+
+void CoverIndex::elected_covering(LinkId link, const filter::Filter& f,
+                                  std::vector<ViewEntry>& out) const {
+  engine_.covers_of(f, query_scratch_);
+  out.clear();
+  for (const std::uint32_t s : query_scratch_) {
+    if (owners_[s]->is_elected(link)) {
+      out.push_back(view_entry(link, *owners_[s]));
+    }
+  }
+}
+
+void CoverIndex::mark_dirty(LinkId link, const filter::Filter& f) {
+  if (Distinct* d = find(f); d != nullptr) mark(views_.at(link), *d);
+}
+
+void CoverIndex::mark_all_dirty(LinkId link) {
+  std::set<Ref>& dirty = views_.at(link);
+  for (auto& [f, d] : distinct_) {
+    if (d.present(link)) mark(dirty, d);
+  }
+}
+
+void CoverIndex::clear_dirty(LinkId link) {
+  const std::set<Ref> dirty = std::exchange(views_.at(link), {});
+  for (const Ref& r : dirty) {
+    --r.d->dirty_marks;
+    release(*r.d);
+  }
 }
 
 }  // namespace rebeca::routing

@@ -27,16 +27,21 @@
 // inputs (paper Sec. 4.2): remote routing-table entries, non-LD local
 // subscriptions and non-LD virtual counterparts. Location-dependent
 // state travels on its own plane (Sec. 5) and is never registered. The
-// index is the broker's only copy of these inputs (forward_inputs feeds
-// refresh_link), maintained at every table mutation, plus an inverted
-// tag index (SubKey → serving links) so junction detection needs no
-// table scan at all.
+// index stores each distinct input filter once, with its sources, plus
+// an inverted tag index (SubKey → serving links) so junction detection
+// needs no table scan at all. It also keeps one forward view per broker
+// link: the elected (forwarded) filters toward that link under the
+// routing strategy, updated incrementally at every table mutation, and
+// a dirty set of the filters whose forwarded entry changed. refresh_link
+// sends only the dirty filters' changes; nothing recomputes a forward
+// set from scratch.
 #ifndef REBECA_ROUTING_COVER_INDEX_HPP
 #define REBECA_ROUTING_COVER_INDEX_HPP
 
 #include <cstdint>
 #include <map>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "src/filter/filter.hpp"
@@ -136,13 +141,17 @@ class CoverEngine {
   mutable std::vector<std::uint32_t> probe_scratch_;
 };
 
-/// The broker-facing covering index: CoverEngine over the forward-set
-/// inputs plus the consumer-shaped queries the admin plane asks.
-/// Maintained at every table mutation; the broker's only copy of the
-/// inputs and its only admin plane (tests re-run the linear scans as its
-/// oracle).
+/// The broker-facing covering index: CoverEngine over the distinct
+/// forward-set input filters, the consumer-shaped queries the admin plane
+/// asks, and one persistent forward view per broker link. Maintained at
+/// every table mutation; the broker's only copy of the inputs and its
+/// only admin plane (tests re-run the linear scans as its oracle).
 class CoverIndex {
  public:
+  /// `strategy` decides which of a view's filters are *elected* (see
+  /// add_view).
+  explicit CoverIndex(Strategy strategy = Strategy::covering);
+
   // --- remote plane: routing-table entries, keyed (link, filter) ---
   /// Insert or tag-replace one remote entry (the DiffProgram upsert).
   void upsert_remote(LinkId link, const filter::Filter& f,
@@ -158,19 +167,15 @@ class CoverIndex {
   void upsert_virtual(const SubKey& key, const filter::Filter& f);
   void remove_virtual(const SubKey& key);
 
-  [[nodiscard]] std::size_t entry_count() const { return engine_.live(); }
+  /// Registered inputs: remote entries, local subscriptions and virtual
+  /// counterparts.
+  [[nodiscard]] std::size_t entry_count() const { return sources_; }
 
   // --- consumer queries ---
 
-  /// The forward-set inputs toward `exclude`: every remote entry of the
-  /// other links (link order, then Filter order, with its tags), then
-  /// the local subscriptions, then the virtual counterparts (key order,
-  /// each tagged with its own key) — refresh_link's input list.
-  [[nodiscard]] std::vector<ForwardInput> forward_inputs(LinkId exclude) const;
-
   /// The forward-set inputs (excluding `exclude`) strictly covered by
-  /// `f`, identity-collapsed: byte-identical to
-  /// routing::covered_by(f, identity-collapse(forward_inputs(exclude))).
+  /// `f`, identity-collapsed: byte-identical to routing::covered_by(f,
+  /// identity collapse of the inputs toward `exclude`).
   [[nodiscard]] ForwardSet covered_inputs(const filter::Filter& f,
                                           LinkId exclude) const;
 
@@ -190,43 +195,119 @@ class CoverIndex {
   [[nodiscard]] std::vector<MoveoutCandidate> tagged_filters(
       LinkId link, const SubKey& key) const;
 
- private:
-  enum class Source : std::uint8_t { remote, local, virt };
+  // --- per-link forward views ---
+  //
+  // A view holds the inputs toward one link — every input but that
+  // link's own routing-table entries — as distinct filters with their
+  // unioned tags, and *elects* some of them: none under flooding, all
+  // under simple/identity, the ≻-maximal ones under covering/merging
+  // (g ≻ f: g covers f, strictly or as the Filter-smaller of a mutually
+  // covering pair — the tie-break of compute_forward_set). A new filter
+  // is dominated by an elected one or is elected and evicts the members
+  // it dominates; a removed member re-elects, by the same rule, the
+  // filters it covered. Every change of the elected set, or of an
+  // elected filter's tags, marks that filter dirty, so a consumer that
+  // reconciles the dirty filters keeps a forwarded copy equal to the
+  // elected set without ever recomputing it. Views borrow the index's
+  // one copy of each filter and query its one engine.
 
-  struct RemoteRec {
-    std::uint32_t slot = 0;
+  /// One filter of a view: whether it is elected, and its tags toward
+  /// the link (empty when the view does not hold it). `f` borrows the
+  /// index's storage (or the queried filter) until the next mutation or
+  /// clear_dirty.
+  struct ViewEntry {
+    const filter::Filter* f = nullptr;
+    bool elected = false;
     std::set<SubKey> tags;
   };
 
-  struct KeyedRec {
-    std::uint32_t slot = 0;
-    filter::Filter f;
+  /// Registers the forward view of `link`, electing the inputs already
+  /// present (each marked dirty).
+  void add_view(LinkId link);
+
+  /// The view's forward set: its elected filters with their tags, merged
+  /// to fixpoint under merging — compute_forward_set over the inputs
+  /// toward `link`.
+  [[nodiscard]] ForwardSet forward_set(LinkId link) const;
+
+  /// The view's dirty filters, in Filter order.
+  [[nodiscard]] std::vector<ViewEntry> dirty(LinkId link) const;
+  /// The view's entry for `f`.
+  [[nodiscard]] ViewEntry entry(LinkId link, const filter::Filter& f) const;
+  /// The view's elected filters covering `f`.
+  void elected_covering(LinkId link, const filter::Filter& f,
+                        std::vector<ViewEntry>& out) const;
+
+  /// Marks one input filter dirty (no-op for a filter the index does
+  /// not hold), or every filter the view holds.
+  void mark_dirty(LinkId link, const filter::Filter& f);
+  void mark_all_dirty(LinkId link);
+  /// Empties the view's dirty set (the consumer reconciled it).
+  void clear_dirty(LinkId link);
+
+ private:
+  /// One distinct input filter — the index's only copy of it — with the
+  /// sources registering it and the views electing it. Small vectors:
+  /// a filter has few sources and a broker few links.
+  struct Distinct {
+    const filter::Filter* f = nullptr;  // its own distinct_ key
+    std::uint32_t slot = 0;             // in engine_, while it has sources
+    std::uint32_t dirty_marks = 0;      // views whose dirty set holds it
+    /// Routing-table entries: link (ascending) → the entry's tags.
+    std::vector<std::pair<LinkId, std::set<SubKey>>> remote;
+    /// Local and virtual keys (a key may register it in both planes).
+    std::vector<SubKey> keyed;
+    std::vector<LinkId> elected;  // views electing it
+
+    [[nodiscard]] bool has_source() const {
+      return !remote.empty() || !keyed.empty();
+    }
+    [[nodiscard]] std::set<SubKey>* remote_tags(LinkId link);
+    [[nodiscard]] const std::set<SubKey>* remote_tags(LinkId link) const;
+    /// Whether the inputs toward `link` include this filter.
+    [[nodiscard]] bool present(LinkId link) const;
+    [[nodiscard]] bool is_elected(LinkId link) const;
+    /// The union of its inputs' tags toward `link`.
+    [[nodiscard]] std::set<SubKey> tags(LinkId link) const;
   };
 
-  /// Slot → plane handle. `tags` borrows the RemoteRec's set (node-based
-  /// map storage, address-stable); pointer-valued only, never ordered on.
-  struct SlotInfo {
-    Source source = Source::remote;
-    LinkId link;
-    SubKey key;
-    const std::set<SubKey>* tags = nullptr;
+  /// A Distinct ordered by its filter's value, never by address.
+  struct Ref {
+    Distinct* d = nullptr;
+    friend bool operator<(const Ref& a, const Ref& b) {
+      return *a.d->f < *b.d->f;
+    }
   };
 
-  void set_info(std::uint32_t slot, SlotInfo info);
-  void upsert_keyed(std::map<SubKey, KeyedRec>& plane, Source source,
-                    const SubKey& key, const filter::Filter& f);
-  void remove_keyed(std::map<SubKey, KeyedRec>& plane, const SubKey& key);
-  void tag_link(const SubKey& key, LinkId link);
+  Distinct& acquire(const filter::Filter& f);
+  Distinct* find(const filter::Filter& f);
+  /// Applies `mutate`, a change of d's sources, and moves engine_ and
+  /// every view along (see cover_index.cpp).
+  template <typename Mutate>
+  void change_sources(Distinct& d, LinkId except, Mutate mutate);
+  void elect(LinkId link, std::set<Ref>& dirty, Distinct& d);
+  void unelect(LinkId link, std::set<Ref>& dirty, Distinct& d);
+  static void mark(std::set<Ref>& dirty, Distinct& d);
+  void release(Distinct& d);
   void untag_link(const SubKey& key, LinkId link);
+  void upsert_keyed(std::map<SubKey, Distinct*>& plane, const SubKey& key,
+                    const filter::Filter& f);
+  void remove_keyed(std::map<SubKey, Distinct*>& plane, const SubKey& key);
+  [[nodiscard]] ViewEntry view_entry(LinkId link, const Distinct& d) const;
 
-  CoverEngine engine_;
-  std::map<LinkId, std::map<filter::Filter, RemoteRec>> remote_;
-  std::map<SubKey, KeyedRec> local_;
-  std::map<SubKey, KeyedRec> virtual_;
-  std::vector<SlotInfo> info_;
+  Strategy strategy_;
+  CoverEngine engine_;             // every distinct filter with a source
+  std::vector<Distinct*> owners_;  // engine_ slot → filter
+  std::map<filter::Filter, Distinct> distinct_;
+  std::map<SubKey, Distinct*> local_;
+  std::map<SubKey, Distinct*> virtual_;
   /// key → (link → number of that link's entries tagged with key).
   std::map<SubKey, std::map<LinkId, std::size_t>> tag_links_;
+  /// One per view: link → its dirty filters.
+  std::map<LinkId, std::set<Ref>> views_;
+  std::size_t sources_ = 0;
   mutable std::vector<std::uint32_t> query_scratch_;
+  std::vector<std::uint32_t> elect_scratch_;
 };
 
 }  // namespace rebeca::routing

@@ -110,10 +110,13 @@ ForwardSet collapse_covering_indexed(const std::vector<ForwardInput>& inputs) {
   return out;
 }
 
-/// merging fixpoint: greedy pairwise exact merges over an
-/// already-covering-collapsed set. Deterministic: scan pairs in map
-/// order, restart on change. Shared by the linear and indexed paths so
-/// they can only differ in how the covering pass was computed.
+/// merging collapse: covering, then merge to fixpoint.
+ForwardSet collapse_merging(const std::vector<ForwardInput>& inputs) {
+  return merge_fixpoint(collapse_covering(inputs));
+}
+
+}  // namespace
+
 ForwardSet merge_fixpoint(ForwardSet current) {
   bool changed = true;
   while (changed) {
@@ -134,13 +137,6 @@ ForwardSet merge_fixpoint(ForwardSet current) {
   }
   return current;
 }
-
-/// merging collapse: covering, then merge to fixpoint.
-ForwardSet collapse_merging(const std::vector<ForwardInput>& inputs) {
-  return merge_fixpoint(collapse_covering(inputs));
-}
-
-}  // namespace
 
 ForwardSet compute_forward_set(Strategy strategy,
                                const std::vector<ForwardInput>& inputs) {

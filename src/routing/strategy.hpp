@@ -1,13 +1,19 @@
 // Routing strategies: what a broker forwards to a neighbor (paper
 // Sec. 2.2).
 //
-// Rather than maintaining incremental covering/merging bookkeeping — the
-// classic source of subtle re-expose bugs on unsubscription — a broker
-// recomputes, per neighbor link, the *target* forward set from its
-// current inputs (CoverIndex::forward_inputs: the other links' routing
-// entries, its non-LD local subscriptions and virtual counterparts) and
-// diffs it against what it previously sent. The strategy only decides
-// how inputs collapse into the target set:
+// The strategy decides how a broker's forward-set inputs toward one
+// neighbor link (the other links' routing entries, its non-LD local
+// subscriptions and virtual counterparts) collapse into the *target*
+// forward set — compute_forward_set below is the definition. A broker
+// never recomputes it: CoverIndex keeps one persistent view per link
+// whose elected filters are that target, updated at every table
+// mutation, and marks dirty each filter whose target entry changed. The
+// broker reconciles only the dirty filters (plus its re-expose pins)
+// against what it previously sent, emitting the same ordered program
+// diff_forward_sets would — upserts before prunes, each in Filter order.
+// (Under merging the view elects the covering set; the broker merges a
+// copy of it and diffs the result in full.) Invariant: outside a link's dirty set, the sent set equals the
+// effective target. The strategies:
 //
 //   flooding  — nothing is forwarded; notifications flood instead.
 //   simple    — every subscription forwarded individually.
@@ -57,6 +63,11 @@ using ForwardSet = std::map<filter::Filter, std::set<SubKey>>;
 /// be forwarded to one neighbor.
 [[nodiscard]] ForwardSet compute_forward_set(Strategy strategy,
                                              const std::vector<ForwardInput>& inputs);
+
+/// Greedy pairwise exact merges to fixpoint over an already
+/// covering-collapsed set (the merging strategy's second pass).
+/// Deterministic: scans pairs in map order, restarts on change.
+[[nodiscard]] ForwardSet merge_fixpoint(ForwardSet current);
 
 /// As above, with the covering pass evaluated per `admin_index`:
 /// `linear` delegates to the two-argument reference; `index` replaces

@@ -1,8 +1,9 @@
 // The admin plane against its linear reference: on every broker's live
 // tables, CoverIndex's links_serving / covering_links / tagged_filters /
-// covered_inputs and the indexed forward set agree with the table scans
-// and the two-argument compute_forward_set they replaced (see
-// tests/plane_reference.hpp).
+// covered_inputs, each link's forward view and the indexed forward set
+// agree with the table scans and the two-argument compute_forward_set
+// they replaced, and every sent set equals its link's target outside the
+// dirty filters and pins (see tests/plane_reference.hpp).
 #include <gtest/gtest.h>
 
 #include "tests/plane_reference.hpp"

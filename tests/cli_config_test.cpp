@@ -333,6 +333,117 @@ TEST(Config, HostileDurationsAndSizesAreRejectedByBothLoaders) {
   EXPECT_EQ(spec.clients[1].roams[0].dwell, 0);
 }
 
+TEST(Config, PhaseListEndingPastTheBoundIsRejectedByBothLoaders) {
+  // Each phase is in range, but ten of 1e12 ms would overflow int64
+  // nanoseconds: the scenario asserted on advancing into the past.
+  std::string phases;
+  for (int i = 0; i < 10; ++i) {
+    phases += std::string(i ? ", " : "") + R"({"name": "p)" +
+              std::to_string(i) + R"(", "duration_ms": 1e12})";
+  }
+  const std::string doc =
+      R"({"clients": [{"name": "c", "id": 1, "broker": 0}], "phases": [)" +
+      phases + "]}";
+  for (const bool node : {false, true}) {
+    try {
+      if (node) {
+        (void)cli::parse_node_config(doc);
+      } else {
+        (void)cli::parse_config(doc);
+      }
+      ADD_FAILURE() << "expected JsonError (node=" << node << ")";
+    } catch (const JsonError& e) {
+      // The second phase is the first to end past the bound.
+      EXPECT_NE(std::string(e.what()).find("phases[1].duration_ms"),
+                std::string::npos)
+          << e.what();
+      EXPECT_NE(std::string(e.what()).find("\"p1\""), std::string::npos)
+          << e.what();
+    }
+  }
+  // Exactly at the bound still loads.
+  EXPECT_NO_THROW((void)cli::parse_config(
+      R"({"clients": [{"name": "c", "id": 1, "broker": 0}],
+          "phases": [{"name": "a", "duration_ms": 4e11},
+                     {"name": "b", "duration_ms": 6e11}]})"));
+}
+
+TEST(Config, UnknownPhaseReferencesAreRejectedAtLoad) {
+  // A from_phase / until_phase_end naming no phase used to pass the
+  // loader and die on the scenario's "known" assertion at run time.
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {R"("publishes": [{"every_ms": 10, "body": {"x": 1},
+                         "from_phase": "nosuch"}])",
+       "clients[0].publishes[0].from_phase"},
+      {R"("publishes": [{"every_ms": 10, "body": {"x": 1},
+                         "until_phase_end": "nosuch"}])",
+       "clients[0].publishes[0].until_phase_end"},
+      {R"("subscribes": [{"x": {"eq": 1}}],
+          "roams": [{"route": [0], "from_phase": "nosuch"}])",
+       "clients[0].roams[0].from_phase"},
+  };
+  for (const auto& [client, field] : cases) {
+    const std::string doc = R"({"clients": [{"name": "c", "id": 1,
+        "broker": 0, )" + client + R"(}],
+        "phases": [{"name": "run", "duration_ms": 10}]})";
+    SCOPED_TRACE(doc);
+    for (const bool node : {false, true}) {
+      try {
+        if (node) {
+          (void)cli::parse_node_config(doc);
+        } else {
+          (void)cli::parse_config(doc);
+        }
+        ADD_FAILURE() << field << ": expected JsonError (node=" << node
+                      << ")";
+      } catch (const JsonError& e) {
+        EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+            << e.what();
+        EXPECT_NE(std::string(e.what()).find("nosuch"), std::string::npos)
+            << e.what();
+      }
+    }
+  }
+  // Walks are rebeca-run only.
+  try {
+    (void)cli::parse_config(R"({
+      "locations": {"kind": "grid", "width": 2, "height": 2},
+      "clients": [{"name": "w", "id": 1, "broker": 0, "starts_at": "g0_0",
+                   "walks": [{"route": ["g1_0"], "from_phase": "nosuch"}]}],
+      "phases": [{"name": "run", "duration_ms": 10}]})");
+    ADD_FAILURE() << "walks: expected JsonError";
+  } catch (const JsonError& e) {
+    EXPECT_NE(std::string(e.what()).find("clients[0].walks[0].from_phase"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Config, NegativeSweepSettingsAreFieldErrors) {
+  // Cast to size_t, a negative runs made rebeca-run die on a bare
+  // vector::reserve.
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {R"({"runs": -1})", "sweep.runs"},
+      {R"({"threads": -2})", "sweep.threads"},
+      {R"({"base_seed": -3})", "sweep.base_seed"},
+      {R"({"seeds": [4, -8]})", "sweep.seeds[1]"},
+  };
+  for (const auto& [sweep, field] : cases) {
+    const std::string doc = R"({
+      "clients": [{"name": "c", "id": 1, "broker": 0}],
+      "phases": [{"name": "p", "duration_ms": 1}],
+      "sweep": )" + sweep + "}";
+    SCOPED_TRACE(doc);
+    try {
+      (void)cli::parse_config(doc);
+      ADD_FAILURE() << field << ": expected JsonError";
+    } catch (const JsonError& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Whole-config equivalence with a hand-built declaration
 // ---------------------------------------------------------------------------

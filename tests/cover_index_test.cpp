@@ -2,7 +2,9 @@
 // naive linear Filter::covers scans on every corpus we can generate —
 // across every routing strategy's forward-set shapes, across the three
 // input planes (remote tables, local subscriptions, virtual
-// counterparts), and across incremental churn. The index is the broker's
+// counterparts), and across incremental churn; and each per-link forward
+// view, maintained through that churn, must equal the forward set
+// recomputed from scratch, as must a consumer fed only its dirty set. The index is the broker's
 // only admin plane and its only copy of the forward-set inputs, so its
 // routing rests on this agreement (and on collapse_covering_indexed
 // reproducing the reference pass's tie-breaks exactly, tested here at
@@ -317,14 +319,6 @@ struct NaiveIndex {
 void expect_index_same(const CoverIndex& index, const NaiveIndex& naive,
                        const Filter& probe, const SubKey& probe_key,
                        LinkId exclude) {
-  const auto want_inputs = naive.forward_inputs(exclude);
-  const auto got_inputs = index.forward_inputs(exclude);
-  ASSERT_EQ(want_inputs.size(), got_inputs.size());
-  for (std::size_t i = 0; i < want_inputs.size(); ++i) {
-    EXPECT_EQ(want_inputs[i].f, got_inputs[i].f) << "forward_inputs[" << i << "]";
-    EXPECT_EQ(want_inputs[i].tags, got_inputs[i].tags)
-        << "forward_inputs[" << i << "]";
-  }
   EXPECT_EQ(naive.covered_inputs(probe, exclude),
             index.covered_inputs(probe, exclude))
       << "covered_inputs diverges on " << probe.to_string();
@@ -452,7 +446,221 @@ TEST(CoverIndex, AgreesWithLinearUnderChurn) {
   for (const SubKey& k : live_virtuals) index.remove_virtual(k);
   EXPECT_EQ(index.entry_count(), 0u);
   EXPECT_TRUE(index.covered_inputs(random_filter(rng), LinkId{}).empty());
-  EXPECT_TRUE(index.forward_inputs(LinkId{}).empty());
+}
+
+// ---------------------------------------------------------------------------
+// Per-link forward views: the maintained set is the recomputed one
+// ---------------------------------------------------------------------------
+
+/// A consumer of one view's dirty set, as Broker::refresh_link consumes
+/// it: elected dirty filters are (re)sent with their tags, the others
+/// pruned.
+void reconcile(CoverIndex& index, LinkId link, ForwardSet& sent) {
+  for (const auto& e : index.dirty(link)) {
+    if (e.elected) {
+      sent[*e.f] = e.tags;
+    } else {
+      sent.erase(*e.f);
+    }
+  }
+  index.clear_dirty(link);
+}
+
+/// Filters whose covering relations the random generator rarely hits:
+/// a chain price > 10 ≻ price > 20 ≻ price in [25, 40], and three
+/// structurally distinct, mutually covering spellings of x == 5.
+std::vector<Filter> view_pool() {
+  return {
+      Filter().where("price", Constraint::gt(10)),
+      Filter().where("price", Constraint::gt(20)),
+      Filter().where("price", Constraint::range(25, 40)),
+      Filter().where("flag", Constraint::eq(5)),
+      Filter().where("flag", Constraint::range(Value(5), Value(5))),
+      Filter().where("flag", Constraint::in_set({Value(5)})),
+  };
+}
+
+TEST(CoverIndexViews, MaintainedSetsEqualRecomputeUnderChurn) {
+  const Strategy strategies[] = {Strategy::flooding, Strategy::simple,
+                                 Strategy::identity, Strategy::covering,
+                                 Strategy::merging};
+  const std::vector<Filter> pool = view_pool();
+  for (const Strategy strategy : strategies) {
+    SCOPED_TRACE(strategy_name(strategy));
+    // The consumer tracks the elected set; merging merges it later.
+    const Strategy elected =
+        strategy == Strategy::merging ? Strategy::covering : strategy;
+    util::Rng rng(99);
+    CoverIndex index(strategy);
+    NaiveIndex naive;
+    std::map<LinkId, ForwardSet> sent;
+    const auto check = [&](LinkId link) {
+      const auto inputs = naive.forward_inputs(link);
+      ASSERT_EQ(compute_forward_set(strategy, inputs), index.forward_set(link))
+          << "view toward " << link;
+      reconcile(index, link, sent[link]);
+      ASSERT_EQ(compute_forward_set(elected, inputs), sent[link])
+          << "dirty reconciliation toward " << link;
+    };
+    // Link 3's view registers after the first inputs arrive.
+    index.add_view(LinkId(1));
+    index.add_view(LinkId(2));
+    std::vector<std::pair<LinkId, Filter>> live_remote;
+    std::vector<SubKey> live_locals, live_virtuals;
+    std::uint32_t next_key = 100;
+    const auto some_filter = [&] {
+      return rng.bernoulli(0.4) ? rng.pick(pool) : random_filter(rng);
+    };
+    const auto some_tags = [&] {
+      std::set<SubKey> tags;
+      for (std::size_t i = 0, n = rng.index(3); i < n; ++i) {
+        tags.insert(SubKey{ClientId(static_cast<std::uint32_t>(rng.index(6) + 1)), 1});
+      }
+      return tags;
+    };
+    for (std::size_t step = 0; step < 1500; ++step) {
+      if (step == 40) index.add_view(LinkId(3));
+      switch (rng.index(8)) {
+        case 0: {  // fresh remote entry (may be tag-less)
+          const LinkId link(static_cast<std::uint32_t>(rng.uniform_u64(1, 3)));
+          const Filter f = some_filter();
+          if (naive.remote[link].count(f) != 0) break;
+          const auto tags = some_tags();
+          index.upsert_remote(link, f, tags);
+          naive.remote[link][f] = tags;
+          live_remote.emplace_back(link, f);
+          break;
+        }
+        case 1: {  // tag-only upsert
+          if (live_remote.empty()) break;
+          const auto [link, f] = rng.pick(live_remote);
+          const auto tags = some_tags();
+          index.upsert_remote(link, f, tags);
+          naive.remote[link][f] = tags;
+          break;
+        }
+        case 2: {  // untag
+          if (live_remote.empty()) break;
+          const auto [link, f] = rng.pick(live_remote);
+          const SubKey key{ClientId(static_cast<std::uint32_t>(rng.index(6) + 1)), 1};
+          index.untag_remote(link, f, key);
+          naive.remote[link][f].erase(key);
+          break;
+        }
+        case 3: {  // remove remote
+          if (live_remote.empty()) break;
+          const std::size_t i = rng.index(live_remote.size());
+          const auto [link, f] = live_remote[i];
+          live_remote.erase(live_remote.begin() + static_cast<std::ptrdiff_t>(i));
+          index.remove_remote(link, f);
+          naive.remote[link].erase(f);
+          if (naive.remote[link].empty()) naive.remote.erase(link);
+          break;
+        }
+        case 4: {  // add or replace a local
+          const bool fresh = live_locals.empty() || rng.bernoulli(0.7);
+          const SubKey key = fresh ? SubKey{ClientId(next_key++), 1}
+                                   : rng.pick(live_locals);
+          const Filter f = some_filter();
+          index.upsert_local(key, f);
+          naive.locals[key] = f;
+          if (fresh) live_locals.push_back(key);
+          break;
+        }
+        case 5: {  // add or replace a virtual
+          const bool fresh = live_virtuals.empty() || rng.bernoulli(0.7);
+          const SubKey key = fresh ? SubKey{ClientId(next_key++), 2}
+                                   : rng.pick(live_virtuals);
+          const Filter f = some_filter();
+          index.upsert_virtual(key, f);
+          naive.virtuals[key] = f;
+          if (fresh) live_virtuals.push_back(key);
+          break;
+        }
+        default: {  // remove a local or a virtual
+          auto& live = rng.bernoulli(0.5) ? live_locals : live_virtuals;
+          if (live.empty()) break;
+          const std::size_t i = rng.index(live.size());
+          if (&live == &live_locals) {
+            index.remove_local(live[i]);
+            naive.locals.erase(live[i]);
+          } else {
+            index.remove_virtual(live[i]);
+            naive.virtuals.erase(live[i]);
+          }
+          live.erase(live.begin() + static_cast<std::ptrdiff_t>(i));
+          break;
+        }
+      }
+      // Consumers reconcile at their own pace: dirty marks accumulate.
+      for (std::uint32_t l = 1; l <= (step >= 40 ? 3u : 2u); ++l) {
+        if (rng.bernoulli(0.5)) check(LinkId(l));
+      }
+    }
+    for (std::uint32_t l = 1; l <= 3; ++l) check(LinkId(l));
+  }
+}
+
+TEST(CoverIndexViews, RemovingAMaximalFilterReElectsWhatItCovered) {
+  const std::vector<Filter> pool = view_pool();
+  const Filter& f = pool[0];  // price > 10
+  const Filter& g = pool[1];  // price > 20
+  const Filter& h = pool[2];  // price in [25, 40]
+  CoverIndex index(Strategy::covering);
+  index.add_view(LinkId(1));
+  const SubKey kf{ClientId(1), 1}, kg{ClientId(2), 1}, kh{ClientId(3), 1};
+  index.upsert_local(kh, h);
+  index.upsert_remote(LinkId(2), g, {kg});
+  index.upsert_local(kf, f);
+  // Link 2's own entry is no input toward link 2.
+  index.add_view(LinkId(2));
+  EXPECT_EQ(index.forward_set(LinkId(1)), (ForwardSet{{f, {kf}}}));
+  EXPECT_EQ(index.forward_set(LinkId(2)), (ForwardSet{{f, {kf}}}));
+
+  // Every election change was marked: h and g elected then evicted, f
+  // elected — reported in Filter order.
+  std::set<Filter> dirty;
+  for (const auto& e : index.dirty(LinkId(1))) {
+    dirty.insert(*e.f);
+    EXPECT_EQ(e.elected, *e.f == f);
+  }
+  EXPECT_EQ(dirty, (std::set<Filter>{f, g, h}));
+  index.clear_dirty(LinkId(1));
+  index.clear_dirty(LinkId(2));
+
+  index.remove_local(kf);  // f ≻ g ≻ h: g takes over, h stays covered
+  EXPECT_EQ(index.forward_set(LinkId(1)), (ForwardSet{{g, {kg}}}));
+  EXPECT_EQ(index.forward_set(LinkId(2)), (ForwardSet{{h, {kh}}}));
+  const auto d1 = index.dirty(LinkId(1));
+  ASSERT_EQ(d1.size(), 2u);
+  EXPECT_TRUE(*d1[0].f < *d1[1].f);
+  index.clear_dirty(LinkId(1));
+
+  index.remove_remote(LinkId(2), g);
+  EXPECT_EQ(index.forward_set(LinkId(1)), (ForwardSet{{h, {kh}}}));
+  index.remove_local(kh);
+  EXPECT_TRUE(index.forward_set(LinkId(1)).empty());
+  EXPECT_EQ(index.entry_count(), 0u);
+}
+
+TEST(CoverIndexViews, MutuallyCoveringFiltersElectTheFilterSmallest) {
+  const std::vector<Filter> pool = view_pool();
+  std::vector<Filter> ties(pool.begin() + 3, pool.end());
+  for (const Filter& a : ties) {
+    for (const Filter& b : ties) ASSERT_TRUE(a.covers(b));
+  }
+  std::sort(ties.begin(), ties.end());
+  CoverIndex index(Strategy::covering);
+  index.add_view(LinkId(1));
+  // Register largest first, so each newcomer evicts the previous winner.
+  for (std::uint32_t i = 3; i-- > 0;) {
+    index.upsert_virtual(SubKey{ClientId(i + 1), 1}, ties[i]);
+    EXPECT_EQ(index.forward_set(LinkId(1)),
+              (ForwardSet{{ties[i], {SubKey{ClientId(i + 1), 1}}}}));
+  }
+  index.remove_virtual(SubKey{ClientId(1), 1});
+  EXPECT_EQ(index.forward_set(LinkId(1)),
+            (ForwardSet{{ties[1], {SubKey{ClientId(2), 1}}}}));
 }
 
 // ---------------------------------------------------------------------------

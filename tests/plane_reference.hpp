@@ -55,12 +55,13 @@ struct PlaneReference {
     return out;
   }
 
-  /// Compares the admin plane of `b` (CoverIndex's inputs and queries,
-  /// and the indexed forward set) against its references; same result
-  /// shape as audit_data.
+  /// Compares the admin plane of `b` (CoverIndex's per-link views and
+  /// queries, the sent sets, and the indexed forward set) against its
+  /// references; same result shape as audit_data.
   static std::vector<std::string> audit_admin(const Broker& b) {
     std::vector<std::string> out;
-    check_forward_inputs(b, out);
+    check_views(b, out);
+    check_sent(b, out);
     check_junctions(b, out);
     check_moveouts(b, out);
     check_covered_inputs(b, out);
@@ -238,7 +239,7 @@ struct PlaneReference {
     }
   }
 
-  /// refresh_link's inputs toward `exclude` by the table scan the broker
+  /// The forward-set inputs toward `exclude` by the table scan the broker
   /// ran before CoverIndex held them: remote entries of the other links,
   /// then local subscriptions, then virtual counterparts, each skipping
   /// location-dependent state (it travels on its own plane).
@@ -260,33 +261,53 @@ struct PlaneReference {
     return inputs;
   }
 
-  static std::string show(const std::vector<ForwardInput>& inputs) {
-    std::ostringstream os;
-    for (const auto& in : inputs) {
-      os << in.f << "->{";
-      for (const SubKey& k : in.tags) os << k << ' ';
-      os << "} ";
+  /// refresh_link: each link's forward view against the two-argument
+  /// (pairwise-scan) forward set over the table-scanned inputs.
+  static void check_views(const Broker& b, std::vector<std::string>& out) {
+    for (const net::Link* link : b.broker_links_) {
+      const ForwardSet ref = routing::compute_forward_set(
+          b.config_.strategy, scanned_inputs(b, link->id()));
+      const ForwardSet view = b.cover_index_.forward_set(link->id());
+      if (ref != view) {
+        std::ostringstream os;
+        os << where(b) << "view toward " << link->id() << ": " << show(ref)
+           << " vs " << show(view);
+        out.push_back(os.str());
+      }
     }
-    return os.str();
   }
 
-  /// refresh_link: CoverIndex::forward_inputs against the table scan,
-  /// element by element (order included) for every exclude link.
-  static void check_forward_inputs(const Broker& b,
-                                   std::vector<std::string>& out) {
-    for (const LinkId ex : excludes(b)) {
-      const auto ref = scanned_inputs(b, ex);
-      const auto indexed = b.cover_index_.forward_inputs(ex);
-      const bool same = std::equal(
-          ref.begin(), ref.end(), indexed.begin(), indexed.end(),
-          [](const ForwardInput& x, const ForwardInput& y) {
-            return x.f == y.f && x.tags == y.tags;
-          });
-      if (!same) {
-        std::ostringstream os;
-        os << where(b) << "forward_inputs(exclude " << ex
-           << "): " << show(ref) << " vs " << show(indexed);
-        out.push_back(os.str());
+  /// refresh_link's invariant: outside the view's dirty set and the
+  /// link's re-expose pins, what the broker sent equals the view's
+  /// forward set minus what the advertisements disallow.
+  static void check_sent(const Broker& b, std::vector<std::string>& out) {
+    for (const net::Link* link : b.broker_links_) {
+      const LinkId lid = link->id();
+      ForwardSet target = b.cover_index_.forward_set(lid);
+      std::erase_if(target, [&](const auto& entry) {
+        return !b.adv_allows(lid, entry.first);
+      });
+      std::set<Filter> skip;
+      for (const auto& e : b.cover_index_.dirty(lid)) skip.insert(*e.f);
+      if (auto pit = b.reexpose_pins_.find(lid); pit != b.reexpose_pins_.end()) {
+        for (const auto& [pin, movers] : pit->second) skip.insert(pin);
+      }
+      const ForwardSet& sent = b.sent_.at(lid);
+      std::set<Filter> keys;
+      for (const auto& [f, tags] : target) keys.insert(f);
+      for (const auto& [f, tags] : sent) keys.insert(f);
+      for (const Filter& f : keys) {
+        if (skip.count(f) != 0) continue;
+        const auto t = target.find(f);
+        const auto s = sent.find(f);
+        const bool same = (t == target.end()) == (s == sent.end()) &&
+                          (t == target.end() || t->second == s->second);
+        if (!same) {
+          std::ostringstream os;
+          os << where(b) << "sent toward " << lid << " diverges on " << f
+             << ": target " << show(target) << " vs sent " << show(sent);
+          out.push_back(os.str());
+        }
       }
     }
   }
