@@ -19,7 +19,6 @@ void Broker::attach_broker_link(net::Link& link) {
   REBECA_ASSERT(link.connects(*this), "link does not connect this broker");
   broker_links_.push_back(&link);
   links_by_id_.emplace(link.id(), &link);
-  remote_[link.id()];
   sent_[link.id()];
   cover_index_.add_view(link.id());
 }
@@ -28,7 +27,6 @@ void Broker::attach_client_link(net::Link& link) {
   REBECA_LANE_ASSERT(lane_affinity_, "Broker", "attach_client_link");
   REBECA_ASSERT(link.connects(*this), "link does not connect this broker");
   client_links_.insert(link.id());
-  client_links_by_id_.emplace(link.id(), &link);
 }
 
 std::string Broker::endpoint_name() const {
@@ -154,6 +152,7 @@ std::vector<PinVerdict> judge_pins(
 
 void Broker::refresh_link(net::Link& link) {
   const LinkId lid = link.id();
+  auto& sent = sent_[lid];
   // Re-expose pins: filters force-exposed on this link by the moveout
   // protocol stay in the target until the covering conflict resolves —
   // the natural target contains them again (the covering input died and
@@ -163,112 +162,101 @@ void Broker::refresh_link(net::Link& link) {
   // than the recorded movers: the covered filter has a live wire
   // representative again, so the pin would only ride redundantly. Pins
   // are judged at every refresh.
+  static const std::map<filter::Filter, std::set<SubKey>> kNoPins;
   auto pit = reexpose_pins_.find(lid);
+  const auto& pins = pit != reexpose_pins_.end() ? pit->second : kNoPins;
   std::vector<PinVerdict> verdicts;
+  // Natural target entries that may differ from sent, in Filter order.
+  std::vector<ViewEntry> wanted;
+  routing::ForwardSet target;  // merging: owns wanted filters not in sent
   if (config_.strategy == routing::Strategy::merging) {
     // Merging re-merges the whole elected set, so its target is no
-    // function of the dirty filters alone: diff it in full.
-    auto target = cover_index_.forward_set(lid);
-    if (pit != reexpose_pins_.end()) {
-      verdicts = judge_pins(
-          pit->second,
-          [&](const filter::Filter& pin) {
-            ViewEntry e = cover_index_.entry(lid, pin);
-            e.elected = target.count(pin) != 0;
-            return e;
-          },
-          [&](const filter::Filter& pin, const auto& serves_no_mover) {
-            return std::any_of(target.begin(), target.end(),
-                               [&](const auto& entry) {
-                                 return entry.first.covers(pin) &&
-                                        serves_no_mover(entry.second);
-                               });
+    // function of the dirty filters alone: reconcile it and sent in full.
+    target = cover_index_.forward_set(lid);
+    verdicts = judge_pins(
+        pins,
+        [&](const filter::Filter& pin) {
+          ViewEntry e = cover_index_.entry(lid, pin);
+          e.elected = target.count(pin) != 0;
+          return e;
+        },
+        [&](const filter::Filter& pin, const auto& serves_no_mover) {
+          return std::any_of(target.begin(), target.end(), [&](const auto& t) {
+            return t.first.covers(pin) && serves_no_mover(t.second);
           });
-      for (const PinVerdict& v : verdicts) {
-        if (v.keep) target[*v.natural.f] = v.natural.tags;
-      }
+        });
+    for (auto& [f, t] : target) wanted.push_back({&f, true, std::move(t)});
+    for (const auto& [f, tags] : sent) {
+      if (target.count(f) == 0) wanted.push_back({&f, false, {}});
     }
-    if (config_.use_advertisements) {
-      std::erase_if(target, [&](const auto& entry) {
-        return !adv_allows(lid, entry.first);
-      });
-    }
-    auto program = routing::diff_forward_sets(sent_[lid], target);
-    for (auto& step : program.steps) {
-      if (step.kind == routing::DiffStep::Kind::upsert) {
-        send(link, net::SubscribeMsg{std::move(step.f), std::move(step.tags)});
-      } else {
-        send(link, net::UnsubscribeMsg{std::move(step.f)});
-      }
-    }
-    sent_[lid] = std::move(target);
+    std::inplace_merge(
+        wanted.begin(), wanted.begin() + target.size(), wanted.end(),
+        [](const ViewEntry& x, const ViewEntry& y) { return *x.f < *y.f; });
   } else {
     // Only the dirty filters and the pins can differ from what was sent.
-    std::vector<ViewEntry> wanted = cover_index_.dirty(lid);
-    if (pit != reexpose_pins_.end()) {
-      std::vector<ViewEntry> covering;
-      verdicts = judge_pins(
-          pit->second,
-          [&](const filter::Filter& pin) { return cover_index_.entry(lid, pin); },
-          [&](const filter::Filter& pin, const auto& serves_no_mover) {
-            cover_index_.elected_covering(lid, pin, covering);
-            return std::any_of(covering.begin(), covering.end(),
-                               [&](const ViewEntry& e) {
-                                 return serves_no_mover(e.tags);
-                               });
-          });
-      // Merge the pins into the Filter-ordered dirty entries; a pin's
-      // verdict replaces its filter's natural entry.
-      std::vector<ViewEntry> merged;
-      merged.reserve(wanted.size() + verdicts.size());
-      auto w = wanted.begin();
-      for (const PinVerdict& v : verdicts) {
-        while (w != wanted.end() && *w->f < *v.natural.f) {
-          merged.push_back(std::move(*w++));
-        }
-        if (w != wanted.end() && !(*v.natural.f < *w->f)) ++w;
-        merged.push_back(v.natural);
-        merged.back().elected = v.natural.elected || v.keep;
+    std::vector<ViewEntry> covering;
+    verdicts = judge_pins(
+        pins,
+        [&](const filter::Filter& pin) { return cover_index_.entry(lid, pin); },
+        [&](const filter::Filter& pin, const auto& serves_no_mover) {
+          cover_index_.elected_covering(lid, pin, covering);
+          return std::any_of(covering.begin(), covering.end(),
+                             [&](const ViewEntry& e) {
+                               return serves_no_mover(e.tags);
+                             });
+        });
+    wanted = cover_index_.dirty(lid);
+  }
+  if (!verdicts.empty()) {
+    // Merge the pins into the wanted entries: a kept pin replaces its
+    // filter's entry, any other pin joins unless its filter is listed.
+    std::vector<ViewEntry> merged;
+    merged.reserve(wanted.size() + verdicts.size());
+    auto w = wanted.begin();
+    for (const PinVerdict& v : verdicts) {
+      while (w != wanted.end() && *w->f < *v.natural.f) {
+        merged.push_back(std::move(*w++));
       }
-      merged.insert(merged.end(), std::make_move_iterator(w),
-                    std::make_move_iterator(wanted.end()));
-      wanted = std::move(merged);
-    }
-    if (config_.use_advertisements) {
-      for (ViewEntry& e : wanted) {
-        if (e.elected && !adv_allows(lid, *e.f)) e.elected = false;
+      const bool listed = w != wanted.end() && !(*v.natural.f < *w->f);
+      if (listed && !v.keep) {
+        merged.push_back(std::move(*w++));
+        continue;
       }
+      if (listed) ++w;
+      merged.push_back(v.natural);
+      merged.back().elected = v.natural.elected || v.keep;
     }
-    // The ordered program diff_forward_sets would emit — upserts strictly
-    // before prunes, so on the FIFO link a covered filter is installed at
-    // the peer before its covering representative disappears.
-    auto& sent = sent_[lid];
+    merged.insert(merged.end(), std::make_move_iterator(w),
+                  std::make_move_iterator(wanted.end()));
+    wanted = std::move(merged);
+  }
+  if (config_.use_advertisements) {
     for (ViewEntry& e : wanted) {
-      if (!e.elected) continue;
-      auto it = sent.find(*e.f);
-      if (it != sent.end() && it->second == e.tags) continue;
-      if (it == sent.end()) {
-        sent.emplace(*e.f, e.tags);
-      } else {
-        it->second = e.tags;
-      }
-      send(link, net::SubscribeMsg{*e.f, std::move(e.tags)});
-    }
-    for (const ViewEntry& e : wanted) {
-      if (e.elected) continue;
-      auto it = sent.find(*e.f);
-      if (it == sent.end()) continue;
-      sent.erase(it);
-      send(link, net::UnsubscribeMsg{*e.f});
+      if (e.elected && !adv_allows(lid, *e.f)) e.elected = false;
     }
   }
+  // The ordered program diff_forward_sets would emit — upserts strictly
+  // before prunes, so on the FIFO link a covered filter is installed at
+  // the peer before its covering representative disappears.
+  for (ViewEntry& e : wanted) {
+    if (!e.elected) continue;
+    auto [it, fresh] = sent.try_emplace(*e.f);
+    if (!fresh && it->second == e.tags) continue;
+    it->second = e.tags;
+    send(link, net::SubscribeMsg{*e.f, std::move(e.tags)});
+  }
+  for (const ViewEntry& e : wanted) {
+    auto it = e.elected ? sent.end() : sent.find(*e.f);
+    if (it == sent.end()) continue;
+    send(link, net::UnsubscribeMsg{*e.f});  // e.f may borrow sent's key
+    sent.erase(it);
+  }
   if (pit != reexpose_pins_.end()) {
-    auto& pins = pit->second;
-    auto it = pins.begin();
+    auto it = pit->second.begin();
     for (const PinVerdict& v : verdicts) {
-      it = v.keep ? std::next(it) : pins.erase(it);
+      it = v.keep ? std::next(it) : pit->second.erase(it);
     }
-    if (pins.empty()) reexpose_pins_.erase(pit);
+    if (pit->second.empty()) reexpose_pins_.erase(pit);
   }
   cover_index_.clear_dirty(lid);
 }
@@ -291,19 +279,22 @@ void Broker::refresh_all_links() {
 // ---------------------------------------------------------------------------
 
 void Broker::on_subscribe(net::Link& from, const net::SubscribeMsg& m) {
-  auto& fs = remote_[from.id()];
-  if (fs.find(m.f) == fs.end()) index_.add_remote(from.id(), m.f);
-  fs[m.f] = m.tags;  // tag-only upserts leave the match index untouched
-  cover_index_.upsert_remote(from.id(), m.f, m.tags);
+  if (cover_index_.upsert_remote(from.id(), m.f, m.tags)) {
+    index_.add_remote(from.id(), m.f);
+  }
   refresh_all_links();
 }
 
 void Broker::on_unsubscribe(net::Link& from, const net::UnsubscribeMsg& m) {
-  if (remote_[from.id()].erase(m.f) != 0) {
+  if (cover_index_.remove_remote(from.id(), m.f)) {
     index_.remove_remote(from.id(), m.f);
-    cover_index_.remove_remote(from.id(), m.f);
   }
   refresh_all_links();
+}
+
+void Broker::untag_entry(LinkId link, const filter::Filter& f,
+                         const SubKey& key) {
+  if (cover_index_.untag_remote(link, f, key)) index_.remove_remote(link, f);
 }
 
 void Broker::on_advertise(net::Link& from, const net::AdvertiseMsg& m,
@@ -405,20 +396,6 @@ void Broker::deliver_to_sub(Session& session, LocalSub& sub,
 // ---------------------------------------------------------------------------
 // Introspection
 // ---------------------------------------------------------------------------
-
-std::size_t Broker::routing_entry_count() const {
-  std::size_t count = 0;
-  for (const auto& [link, fs] : remote_) count += fs.size();
-  return count;
-}
-
-std::size_t Broker::routing_tag_count() const {
-  std::size_t count = 0;
-  for (const auto& [link, fs] : remote_) {
-    for (const auto& [f, tags] : fs) count += tags.size();
-  }
-  return count;
-}
 
 std::optional<location::LocationSet> Broker::ld_concrete_set(
     const SubKey& key) const {

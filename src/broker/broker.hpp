@@ -5,8 +5,9 @@
 // broker" lives inside the Client library.) A broker owns four kinds of
 // routing state:
 //
-//   remote_    filters received from neighbor brokers (per link) — the
+//   cover_index_  filters received from neighbor brokers (per link) — the
 //              routing table of Sec. 2.2, with serving-subscription tags
+//              (index_ mirrors its entries for notification matching)
 //   sessions_  local client sessions with per-subscription delivery
 //              sequence numbers and a bounded delivery history
 //   virtuals_  "virtual counterparts" of disconnected clients that keep
@@ -111,10 +112,14 @@ class Broker final : public net::Endpoint {
 
   // --- introspection (tests, benches) ---
   /// Number of remote routing-table entries (filters) across all links.
-  [[nodiscard]] std::size_t routing_entry_count() const;
+  [[nodiscard]] std::size_t routing_entry_count() const {
+    return cover_index_.remote_entry_count();
+  }
   /// Total serving tags across remote entries (simple-routing's logical
   /// table size: one row per subscription).
-  [[nodiscard]] std::size_t routing_tag_count() const;
+  [[nodiscard]] std::size_t routing_tag_count() const {
+    return cover_index_.remote_tag_count();
+  }
   [[nodiscard]] std::size_t session_count() const { return sessions_.size(); }
   [[nodiscard]] std::size_t virtual_count() const { return virtuals_.size(); }
   [[nodiscard]] std::size_t ld_transit_count() const { return ld_.size(); }
@@ -130,9 +135,6 @@ class Broker final : public net::Endpoint {
   /// passing through (or anchored at) this broker; nullopt if absent.
   [[nodiscard]] std::optional<location::LocationSet> ld_concrete_set(
       const SubKey& key) const;
-  [[nodiscard]] bool has_virtual(const SubKey& key) const {
-    return virtuals_.count(key) != 0;
-  }
   /// Filters currently forwarded to the given neighbor (testing).
   [[nodiscard]] const routing::ForwardSet* forwarded_to(LinkId link) const;
   /// Moveouts whose prune is still awaiting the downstream re-expose ack
@@ -249,7 +251,7 @@ class Broker final : public net::Endpoint {
   };
 
   /// Uncover-before-prune moveout in flight on one old-path link: the
-  /// mover's key stays tagged in remote_[link] — traffic keeps flowing
+  /// mover's key stays tagged in the link's table — traffic keeps flowing
   /// down the old path, protecting covered bystanders — until the
   /// downstream broker acks that it re-exposed everything the filters
   /// cover. This is the relocation state machine's intermediate state
@@ -323,13 +325,20 @@ class Broker final : public net::Endpoint {
   Junction dispatch_fetch(const SubKey& key, const filter::Filter& f,
                           std::uint64_t epoch, std::uint64_t last_seq,
                           LinkId exclude);
-  /// Runs the planned moveout of `key` from remote_[link]: untags shared
+  /// The old-path directions (≠ exclude) a fetch for `key` follows:
+  /// the links whose entries are tagged with it, else its LD transit's
+  /// consumer link (both `tagged`), else those covering `f`.
+  Junction old_directions(const SubKey& key, const filter::Filter& f,
+                          LinkId exclude, std::vector<net::Link*>& out);
+  /// Runs the planned moveout of `key` from `link`'s table: untags shared
   /// entries now; for dying entries either primes the two-phase
   /// re-expose/ack handshake (aggregating strategies with
   /// uncover_before_prune) or prunes immediately.
   void begin_moveout(net::Link& link, const SubKey& key, std::uint64_t epoch);
   /// Executes a moveout's deferred prunes (ack barrier passed).
   void finish_moveout(net::Link& link, const SubKey& key);
+  /// CoverIndex::untag_remote, mirrored into index_.
+  void untag_entry(LinkId link, const filter::Filter& f, const SubKey& key);
   /// Computes and sends the re-expose set for `f` toward `to`, then acks.
   void answer_reexpose(net::Link& to, const SubKey& key,
                        const filter::Filter& f, std::uint64_t epoch);
@@ -364,9 +373,7 @@ class Broker final : public net::Endpoint {
   // or report order. Only pointer-KEYED ordered containers are hazards.
   std::map<LinkId, net::Link*> links_by_id_;  // broker links only
   std::set<LinkId> client_links_;
-  std::map<LinkId, net::Link*> client_links_by_id_;
 
-  std::map<LinkId, routing::ForwardSet> remote_;
   std::map<LinkId, routing::ForwardSet> sent_;
   std::map<AdvId, AdvEntry> advs_;
   std::map<LinkId, std::set<AdvId>> sent_advs_;
@@ -398,7 +405,8 @@ class Broker final : public net::Endpoint {
 
   /// Admin-plane covering index over the forward-set inputs (remote
   /// tables, non-LD local subs and virtuals), maintained next to index_
-  /// at every table mutation. It is the only copy of those inputs, keeps
+  /// at every table mutation. It is the routing table and the only copy
+  /// of those inputs (one call per remote-table event), keeps
   /// each broker link's forward view (refresh_link reconciles its dirty
   /// filters), and is the admin plane answer_reexpose / dispatch_fetch /
   /// begin_moveout / on_fetch query. Invariant: outside a link's dirty

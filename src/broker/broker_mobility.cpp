@@ -407,28 +407,9 @@ Broker::Junction Broker::dispatch_fetch(const SubKey& key,
                                         const filter::Filter& f,
                                         std::uint64_t epoch,
                                         std::uint64_t last_seq, LinkId exclude) {
-  // State serving the key — or covering its filter — in a direction
-  // other than `exclude`.
-  Junction kind = Junction::tagged;
   std::vector<net::Link*> old_dirs;
-  // Inverted tag index: key → serving links, no table walk.
-  cover_index_.links_serving(key, exclude, cover_links_);
-  for (LinkId lid : cover_links_) old_dirs.push_back(links_by_id_.at(lid));
-  // LD transit state is keyed exactly: its consumer direction points at
-  // the subscription's previous anchor.
-  if (old_dirs.empty()) {
-    auto lit = ld_.find(key);
-    if (lit != ld_.end() && lit->second.toward != exclude) {
-      auto link_it = links_by_id_.find(lit->second.toward);
-      if (link_it != links_by_id_.end()) old_dirs.push_back(link_it->second);
-    }
-  }
-  if (old_dirs.empty()) {
-    kind = Junction::covering;
-    cover_index_.covering_links(f, exclude, cover_links_);
-    for (LinkId lid : cover_links_) old_dirs.push_back(links_by_id_.at(lid));
-  }
-  if (old_dirs.empty()) return Junction::none;
+  const Junction kind = old_directions(key, f, exclude, old_dirs);
+  if (kind == Junction::none) return kind;
 
   // This broker is (a candidate) junction: fetch first (relocation
   // latency is unaffected by the uncover handshake, which runs
@@ -443,6 +424,27 @@ Broker::Junction Broker::dispatch_fetch(const SubKey& key,
   return kind;
 }
 
+Broker::Junction Broker::old_directions(const SubKey& key,
+                                        const filter::Filter& f,
+                                        LinkId exclude,
+                                        std::vector<net::Link*>& out) {
+  // Each of the three cases yields unique links in ascending LinkId
+  // order, so `out` is canonical: an address sort would let allocator
+  // layout pick the FetchMsg emission order (rebeca-lint PTR-ORDER).
+  out.clear();
+  cover_index_.links_serving(key, exclude, cover_links_);
+  for (LinkId lid : cover_links_) out.push_back(links_by_id_.at(lid));
+  if (auto lit = ld_.find(key);
+      out.empty() && lit != ld_.end() && lit->second.toward != exclude) {
+    auto link_it = links_by_id_.find(lit->second.toward);
+    if (link_it != links_by_id_.end()) out.push_back(link_it->second);
+  }
+  if (!out.empty()) return Junction::tagged;
+  cover_index_.covering_links(f, exclude, cover_links_);
+  for (LinkId lid : cover_links_) out.push_back(links_by_id_.at(lid));
+  return out.empty() ? Junction::none : Junction::covering;
+}
+
 // ---------------------------------------------------------------------------
 // Uncover-before-prune moveouts (the two-phase protocol)
 // ---------------------------------------------------------------------------
@@ -450,7 +452,6 @@ Broker::Junction Broker::dispatch_fetch(const SubKey& key,
 void Broker::begin_moveout(net::Link& link, const SubKey& key,
                            std::uint64_t epoch) {
   const LinkId lid = link.id();
-  auto& fs = remote_[lid];
   // The (filter → tag count) candidates in Filter order, read off the
   // cover index's per-link table instead of re-walking every entry's
   // tag set.
@@ -463,15 +464,10 @@ void Broker::begin_moveout(net::Link& link, const SubKey& key,
   pending.epoch = epoch;
   for (auto& step : program.steps) {
     switch (step.kind) {
-      case routing::MoveoutStep::Kind::untag: {
+      case routing::MoveoutStep::Kind::untag:
         // Other subscriptions keep the entry alive; routing unchanged.
-        auto it = fs.find(step.f);
-        if (it != fs.end()) {
-          it->second.erase(key);
-          cover_index_.untag_remote(lid, step.f, key);
-        }
+        untag_entry(lid, step.f, key);
         break;
-      }
       case routing::MoveoutStep::Kind::reexpose:
         if (two_phase) {
           send(link, net::ReExposeMsg{key, step.f, epoch});
@@ -484,18 +480,7 @@ void Broker::begin_moveout(net::Link& link, const SubKey& key,
           // downstream re-exposures are confirmed installed.
           pending.prune.push_back(step.f);
         } else {
-          auto it = fs.find(step.f);
-          if (it != fs.end()) {
-            it->second.erase(key);
-            cover_index_.untag_remote(lid, step.f, key);
-            // Entries serving nobody anymore must go, or they would
-            // keep routing traffic down the abandoned path.
-            if (it->second.empty()) {
-              fs.erase(it);
-              index_.remove_remote(lid, step.f);
-              cover_index_.remove_remote(lid, step.f);
-            }
-          }
+          untag_entry(lid, step.f, key);
         }
         break;
     }
@@ -514,18 +499,7 @@ void Broker::finish_moveout(net::Link& link, const SubKey& key) {
   lit->second.erase(pit);
   if (lit->second.empty()) moveouts_.erase(lit);
 
-  auto& fs = remote_[link.id()];
-  for (const auto& f : pending.prune) {
-    auto it = fs.find(f);
-    if (it == fs.end()) continue;
-    it->second.erase(key);
-    cover_index_.untag_remote(link.id(), f, key);
-    if (it->second.empty()) {
-      fs.erase(it);
-      index_.remove_remote(link.id(), f);
-      cover_index_.remove_remote(link.id(), f);
-    }
-  }
+  for (const auto& f : pending.prune) untag_entry(link.id(), f, key);
   refresh_all_links();
 
   // Serve re-expose requests that waited on this barrier — unless the
@@ -632,28 +606,10 @@ void Broker::on_fetch(net::Link& from, const net::FetchMsg& m) {
   // needed it is already installed; here we only move the key out of the
   // old direction and remember the reverse path for the replay.
 
-  // Continue along the old path: tagged directions first, then LD
-  // transit state (keyed exactly; the re-anchor flood trailing the fetch
-  // re-points it, so nothing to erase here), covering fallback last.
+  // Continue along the old path (the LD transit state needs no erase
+  // here: the re-anchor flood trailing the fetch re-points it).
   std::vector<net::Link*> old_dirs;
-  cover_index_.links_serving(m.key, from.id(), cover_links_);
-  for (LinkId lid : cover_links_) old_dirs.push_back(links_by_id_.at(lid));
-  if (old_dirs.empty()) {
-    auto lit = ld_.find(m.key);
-    if (lit != ld_.end() && lit->second.toward != from.id()) {
-      auto link_it = links_by_id_.find(lit->second.toward);
-      if (link_it != links_by_id_.end()) old_dirs.push_back(link_it->second);
-    }
-  }
-  if (old_dirs.empty()) {
-    cover_index_.covering_links(m.f, from.id(), cover_links_);
-    for (LinkId lid : cover_links_) old_dirs.push_back(links_by_id_.at(lid));
-  }
-  // No dedup pass needed: the three blocks above are mutually exclusive
-  // and each yields unique links in ascending LinkId order (the cover
-  // index answers sorted), so old_dirs is already canonical. (An address
-  // sort here would let allocator layout pick the FetchMsg emission
-  // order — rebeca-lint PTR-ORDER.)
+  old_directions(m.key, m.f, from.id(), old_dirs);
   for (net::Link* link : old_dirs) {
     send(*link, net::FetchMsg{m});
     begin_moveout(*link, m.key, m.epoch);

@@ -857,7 +857,7 @@ void CoverIndex::untag_link(const SubKey& key, LinkId link) {
   if (kit->second.empty()) tag_links_.erase(kit);
 }
 
-void CoverIndex::upsert_remote(LinkId link, const filter::Filter& f,
+bool CoverIndex::upsert_remote(LinkId link, const filter::Filter& f,
                                const std::set<SubKey>& tags) {
   Distinct& d = acquire(f);
   std::set<SubKey>* tagged = d.remote_tags(link);
@@ -871,7 +871,7 @@ void CoverIndex::upsert_remote(LinkId link, const filter::Filter& f,
                                        }),
                       {link, tags});
     });
-    return;
+    return true;
   }
   // Tag-only upsert: the filter and its election are unchanged.
   for (const SubKey& key : *tagged) {
@@ -881,28 +881,33 @@ void CoverIndex::upsert_remote(LinkId link, const filter::Filter& f,
     if (tagged->count(key) == 0) ++tag_links_[key][link];
   }
   change_sources(d, link, [&] { *tagged = tags; });
+  return false;
 }
 
-void CoverIndex::untag_remote(LinkId link, const filter::Filter& f,
+bool CoverIndex::untag_remote(LinkId link, const filter::Filter& f,
                               const SubKey& key) {
   Distinct* d = find(f);
   std::set<SubKey>* tagged = d != nullptr ? d->remote_tags(link) : nullptr;
-  REBECA_ASSERT(tagged != nullptr, "cover index: untag on unknown entry");
-  if (tagged->count(key) == 0) return;
+  if (tagged == nullptr || tagged->count(key) == 0) return false;
+  // An entry serving nobody any more must go, or it would keep routing
+  // traffic down an abandoned path.
+  if (tagged->size() == 1) return remove_remote(link, f);
   untag_link(key, link);
   change_sources(*d, link, [&] { tagged->erase(key); });
+  return false;
 }
 
-void CoverIndex::remove_remote(LinkId link, const filter::Filter& f) {
+bool CoverIndex::remove_remote(LinkId link, const filter::Filter& f) {
   Distinct* d = find(f);
   std::set<SubKey>* tagged = d != nullptr ? d->remote_tags(link) : nullptr;
-  if (tagged == nullptr) return;
+  if (tagged == nullptr) return false;
   for (const SubKey& key : *tagged) untag_link(key, link);
   --sources_;
   change_sources(*d, link, [&] {
     std::erase_if(d->remote,
                   [&](const auto& entry) { return entry.first == link; });
   });
+  return true;
 }
 
 void CoverIndex::upsert_keyed(std::map<SubKey, Distinct*>& plane,
@@ -948,6 +953,24 @@ void CoverIndex::remove_virtual(const SubKey& key) {
 // ---------------------------------------------------------------------------
 // CoverIndex: consumer queries
 // ---------------------------------------------------------------------------
+
+ForwardSet CoverIndex::remote_table(LinkId link) const {
+  ForwardSet out;
+  for (const auto& [f, d] : distinct_) {
+    if (const std::set<SubKey>* tags = d.remote_tags(link)) {
+      out.emplace_hint(out.end(), f, *tags);
+    }
+  }
+  return out;
+}
+
+std::size_t CoverIndex::remote_tag_count() const {
+  std::size_t n = 0;
+  for (const auto& [key, links] : tag_links_) {
+    for (const auto& [link, entries] : links) n += entries;
+  }
+  return n;
+}
 
 ForwardSet CoverIndex::covered_inputs(const filter::Filter& f,
                                       LinkId exclude) const {

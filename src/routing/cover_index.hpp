@@ -25,9 +25,11 @@
 //
 // The CoverIndex wraps the engine with exactly the broker's forward-set
 // inputs (paper Sec. 4.2): remote routing-table entries, non-LD local
-// subscriptions and non-LD virtual counterparts. Location-dependent
-// state travels on its own plane (Sec. 5) and is never registered. The
-// index stores each distinct input filter once, with its sources, plus
+// subscriptions and non-LD virtual counterparts. Its remote plane *is*
+// the broker's routing table — one per neighbour link, as in Sec. 2.2 —
+// and the broker keeps no other copy. Location-dependent state travels
+// on its own plane (Sec. 5) and is never registered. The index stores
+// each distinct input filter once, with its sources, plus
 // an inverted tag index (SubKey → serving links) so junction detection
 // needs no table scan at all. It also keeps one forward view per broker
 // link: the elected (forwarded) filters toward that link under the
@@ -144,21 +146,36 @@ class CoverEngine {
 /// The broker-facing covering index: CoverEngine over the distinct
 /// forward-set input filters, the consumer-shaped queries the admin plane
 /// asks, and one persistent forward view per broker link. Maintained at
-/// every table mutation; the broker's only copy of the inputs and its
-/// only admin plane (tests re-run the linear scans as its oracle).
+/// every table mutation; the broker's routing table, its only copy of
+/// the inputs and its only admin plane (tests re-run the linear scans as
+/// its oracle).
 class CoverIndex {
  public:
   /// `strategy` decides which of a view's filters are *elected* (see
   /// add_view).
   explicit CoverIndex(Strategy strategy = Strategy::covering);
 
-  // --- remote plane: routing-table entries, keyed (link, filter) ---
-  /// Insert or tag-replace one remote entry (the DiffProgram upsert).
-  void upsert_remote(LinkId link, const filter::Filter& f,
+  // --- remote plane: the routing table, keyed (link, filter); each
+  // --- mutator reports what the broker mirrors into MatchIndex ---
+  /// Inserts or tag-replaces one entry (the DiffProgram upsert); true
+  /// when (link, f) is new.
+  bool upsert_remote(LinkId link, const filter::Filter& f,
                      const std::set<SubKey>& tags);
-  /// Drop one key from a remote entry's tag set (moveout untag).
-  void untag_remote(LinkId link, const filter::Filter& f, const SubKey& key);
-  void remove_remote(LinkId link, const filter::Filter& f);
+  /// Drops `key` from the entry's tags (a moveout untag or prune), and
+  /// the entry itself with its last tag; true when the entry went. An
+  /// absent entry or key is no change: an UnsubscribeMsg may have
+  /// removed the entry before a deferred prune runs.
+  bool untag_remote(LinkId link, const filter::Filter& f, const SubKey& key);
+  /// True when the entry existed.
+  bool remove_remote(LinkId link, const filter::Filter& f);
+
+  /// One link's routing table: its entries with their tags.
+  [[nodiscard]] ForwardSet remote_table(LinkId link) const;
+  /// Routing-table entries, and their tags, across all links.
+  [[nodiscard]] std::size_t remote_entry_count() const {
+    return sources_ - local_.size() - virtual_.size();
+  }
+  [[nodiscard]] std::size_t remote_tag_count() const;
 
   // --- exactly-keyed planes (upsert replaces the key's filter); the
   // --- broker registers non-LD subscriptions only ---

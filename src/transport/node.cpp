@@ -39,12 +39,24 @@ void inject(net::Link& link, SessionPort& port, const std::string& bytes) {
 // SessionPort
 // ---------------------------------------------------------------------------
 
+void SessionPort::set_session(PeerSession* session) {
+  session_ = session;
+  if (session_ == nullptr || !unsent_) return;
+  for (const net::Message& msg : *unsent_) session_->send_message(msg);
+  unsent_.reset();
+}
+
 void SessionPort::handle_message(net::Link& from, const net::Message& msg) {
   (void)from;
-  // Entity → socket. A null session means the peer is not connected
-  // (yet, or anymore): the frame is dropped exactly like a message on a
-  // cut simulated link.
-  if (session_ != nullptr) session_->send_message(msg);
+  // Entity → socket. Frames wait for the peer's first session (brokers
+  // forward on a link whose peer may still be starting, and never resend
+  // what they sent); once a session is lost they are dropped, exactly
+  // like messages on a cut simulated link.
+  if (session_ != nullptr) {
+    session_->send_message(msg);
+  } else if (unsent_) {
+    unsent_->push_back(msg);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -119,7 +119,9 @@ class SessionPort final : public net::Endpoint {
  public:
   explicit SessionPort(std::string name) : name_(std::move(name)) {}
 
-  void set_session(PeerSession* session) { session_ = session; }
+  /// Attaches (or, with null, detaches) the peer's session. The first
+  /// attach flushes, in order, the frames handed over before it.
+  void set_session(PeerSession* session);
   [[nodiscard]] PeerSession* session() const { return session_; }
 
   void handle_message(net::Link& from, const net::Message& msg) override;
@@ -129,6 +131,8 @@ class SessionPort final : public net::Endpoint {
  private:
   std::string name_;
   PeerSession* session_ = nullptr;
+  /// Frames awaiting the first session; disengaged once it attached.
+  std::optional<std::vector<net::Message>> unsent_{std::in_place};
 };
 
 /// Maps broker index → (host, port). With port_base the mapping is

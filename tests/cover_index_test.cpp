@@ -20,6 +20,7 @@
 #include "src/routing/cover_index.hpp"
 #include "src/routing/strategy.hpp"
 #include "src/util/rng.hpp"
+#include "src/util/str_cat.hpp"
 
 namespace rebeca::routing {
 namespace {
@@ -44,7 +45,7 @@ Value random_value(util::Rng& rng) {
     case 0: return Value(static_cast<int>(rng.uniform_i64(-5, 20)));
     case 1: return Value(rng.uniform_real(-2.0, 12.0));
     case 2: return Value(static_cast<double>(rng.uniform_i64(-5, 20)));
-    case 3: return Value("s" + std::to_string(rng.uniform_u64(0, 9)));
+    case 3: return Value(util::str_cat("s", rng.uniform_u64(0, 9)));
     case 4: return Value(rng.bernoulli(0.5));
     default:
       // Huge int64s past 2^53: the eq-bucket double normalization must
@@ -61,7 +62,7 @@ Constraint random_constraint(util::Rng& rng) {
     case 2: return Constraint::ne(random_value(rng));
     case 3: return Constraint::lt(Value(static_cast<int>(rng.uniform_i64(-5, 20))));
     case 4: return Constraint::le(Value(rng.uniform_real(-2.0, 12.0)));
-    case 5: return Constraint::gt(Value("s" + std::to_string(rng.uniform_u64(0, 9))));
+    case 5: return Constraint::gt(Value(util::str_cat("s", rng.uniform_u64(0, 9))));
     case 6: return Constraint::ge(Value(static_cast<int>(rng.uniform_i64(-5, 20))));
     case 7: {
       std::set<Value> values;
@@ -246,9 +247,24 @@ TEST(CoverIndexStrategy, IndexedForwardSetEqualsLinear) {
 // ---------------------------------------------------------------------------
 
 struct NaiveIndex {
-  std::map<LinkId, std::map<Filter, std::set<SubKey>>> remote;
+  std::map<LinkId, ForwardSet> remote;
   std::map<SubKey, Filter> locals;
   std::map<SubKey, Filter> virtuals;
+
+  // CoverIndex::untag_remote: drops `key`, and the entry with its last
+  // tag; true when the entry went.
+  bool untag(LinkId link, const Filter& f, const SubKey& key) {
+    auto lit = remote.find(link);
+    if (lit == remote.end()) return false;
+    auto it = lit->second.find(f);
+    if (it == lit->second.end() || it->second.erase(key) == 0 ||
+        !it->second.empty()) {
+      return false;
+    }
+    lit->second.erase(it);
+    if (lit->second.empty()) remote.erase(lit);
+    return true;
+  }
 
   // The broker's table-scan input collection: remote entries of the
   // other links, then locals, then virtuals.
@@ -375,12 +391,16 @@ TEST(CoverIndex, AgreesWithLinearUnderChurn) {
         slot = tags;
         break;
       }
-      case 1: {  // untag remote
+      case 1: {  // untag remote (the last tag drops the entry)
         if (live_remote.empty()) break;
-        const auto [link, f] = rng.pick(live_remote);
+        const std::size_t i = rng.index(live_remote.size());
+        const auto [link, f] = live_remote[i];
         const SubKey key = rng.pick(key_pool);
-        index.untag_remote(link, f, key);
-        naive.remote[link][f].erase(key);
+        const bool dropped = naive.untag(link, f, key);
+        EXPECT_EQ(dropped, index.untag_remote(link, f, key));
+        if (dropped) {
+          live_remote.erase(live_remote.begin() + static_cast<std::ptrdiff_t>(i));
+        }
         break;
       }
       case 2: {  // remove remote
@@ -539,12 +559,16 @@ TEST(CoverIndexViews, MaintainedSetsEqualRecomputeUnderChurn) {
           naive.remote[link][f] = tags;
           break;
         }
-        case 2: {  // untag
+        case 2: {  // untag (the last tag drops the entry)
           if (live_remote.empty()) break;
-          const auto [link, f] = rng.pick(live_remote);
+          const std::size_t i = rng.index(live_remote.size());
+          const auto [link, f] = live_remote[i];
           const SubKey key{ClientId(static_cast<std::uint32_t>(rng.index(6) + 1)), 1};
-          index.untag_remote(link, f, key);
-          naive.remote[link][f].erase(key);
+          const bool dropped = naive.untag(link, f, key);
+          ASSERT_EQ(dropped, index.untag_remote(link, f, key));
+          if (dropped) {
+            live_remote.erase(live_remote.begin() + static_cast<std::ptrdiff_t>(i));
+          }
           break;
         }
         case 3: {  // remove remote
@@ -725,6 +749,91 @@ TEST(CoverEngine, PointRangeActsAsEquality) {
   EXPECT_EQ(out, (std::vector<std::uint32_t>{sp, se}));
   engine.covered_by_of(eq5, out);
   EXPECT_EQ(out, (std::vector<std::uint32_t>{sp, se}));
+}
+
+// The remote plane is the broker's routing table: each mutator's result
+// is what the broker mirrors into MatchIndex, and the table, entry count
+// and tag count are what its introspection reports. A small universe of
+// filters, links and keys makes tag-only upserts, untags to empty and
+// untags or removes of absent entries frequent; local and virtual
+// sources of the same filters must never show in the table.
+TEST(CoverIndex, RemotePlaneMirrorsANaiveRoutingTableUnderChurn) {
+  util::Rng rng(7);
+  CoverIndex index;
+  index.add_view(LinkId(1));
+  index.add_view(LinkId(2));
+  std::map<LinkId, ForwardSet> naive;
+  std::vector<Filter> pool = view_pool();
+  for (int i = 0; i < 4; ++i) pool.push_back(random_filter(rng));
+  const auto some_link = [&] {
+    return LinkId(static_cast<std::uint32_t>(rng.uniform_u64(1, 3)));
+  };
+  const auto some_key = [&] {
+    return SubKey{ClientId(static_cast<std::uint32_t>(rng.uniform_u64(1, 4))), 1};
+  };
+  std::size_t upserts = 0, tag_only = 0, emptied = 0, absent = 0;
+  for (std::size_t step = 0; step < 3000; ++step) {
+    const LinkId link = some_link();
+    const Filter& f = rng.pick(pool);
+    auto& table = naive[link];
+    const auto it = table.find(f);
+    switch (rng.index(5)) {
+      case 0:
+      case 1: {  // upsert: a fresh entry or a tag-only replace
+        std::set<SubKey> tags;
+        for (std::size_t i = 0, n = 1 + rng.index(3); i < n; ++i) {
+          tags.insert(some_key());
+        }
+        const bool fresh = it == table.end();
+        ASSERT_EQ(fresh, index.upsert_remote(link, f, tags));
+        table[f] = tags;
+        ++(fresh ? upserts : tag_only);
+        break;
+      }
+      case 2:
+      case 3: {  // untag, possibly of an absent entry or key
+        const SubKey key = some_key();
+        const bool gone = it != table.end() && it->second.size() == 1 &&
+                          it->second.count(key) != 0;
+        if (it == table.end() || it->second.count(key) == 0) ++absent;
+        ASSERT_EQ(gone, index.untag_remote(link, f, key));
+        if (gone) {
+          table.erase(it);
+          ++emptied;
+        } else if (it != table.end()) {
+          it->second.erase(key);
+        }
+        break;
+      }
+      default: {  // remove, possibly of an absent entry
+        const bool existed = it != table.end();
+        if (!existed) ++absent;
+        ASSERT_EQ(existed, index.remove_remote(link, f));
+        if (existed) table.erase(it);
+        break;
+      }
+    }
+    // Keyed sources of the pool filters come and go beside the table.
+    const SubKey keyed{ClientId(50), static_cast<std::uint32_t>(rng.index(3))};
+    if (rng.bernoulli(0.1)) index.upsert_local(keyed, rng.pick(pool));
+    if (rng.bernoulli(0.1)) index.upsert_virtual(keyed, rng.pick(pool));
+    if (rng.bernoulli(0.05)) index.remove_local(keyed);
+
+    std::size_t entries = 0, tags = 0;
+    for (std::uint32_t l = 0; l <= 3; ++l) {
+      const auto nit = naive.find(LinkId(l));
+      const ForwardSet want = nit == naive.end() ? ForwardSet{} : nit->second;
+      ASSERT_EQ(want, index.remote_table(LinkId(l))) << "table of link " << l;
+      entries += want.size();
+      for (const auto& [g, keys] : want) tags += keys.size();
+    }
+    ASSERT_EQ(entries, index.remote_entry_count());
+    ASSERT_EQ(tags, index.remote_tag_count());
+  }
+  EXPECT_GT(upserts, 100u);
+  EXPECT_GT(tag_only, 100u);
+  EXPECT_GT(emptied, 100u);
+  EXPECT_GT(absent, 100u);
 }
 
 TEST(CoverIndex, RemoteUpsertReplacesTags) {

@@ -6,7 +6,9 @@
 // The linear table scans those indexes replaced are kept here, and only
 // here, as the oracle: PlaneReference re-runs each scan on a broker's
 // live tables and compares it with what the indexes answer on the same
-// state. matcher_equivalence_test audits the data plane and
+// state; the routing tables themselves are cross-checked between the
+// two ends of each link once an example run has drained (audit_peers).
+// matcher_equivalence_test audits the data plane and
 // admin_index_equivalence_test the admin plane. Both step every
 // checked-in example config on the classic kernel and on the sharded
 // engine (1 and 4 shards), plus one hand-built scenario under every
@@ -73,7 +75,7 @@ struct PlaneReference {
   /// subscriptions, virtual counterparts and LD transit state.
   static std::vector<Filter> probe_filters(const Broker& b) {
     std::set<Filter> filters;
-    for (const auto& [lid, fs] : b.remote_) {
+    for (const auto& [lid, fs] : tables(b)) {
       for (const auto& [f, tags] : fs) filters.insert(f);
     }
     for (const auto& [client, session] : b.sessions_) {
@@ -84,7 +86,38 @@ struct PlaneReference {
     return {filters.begin(), filters.end()};
   }
 
+  /// Quiescent peer agreement, on every link of `b` to another broker:
+  /// what `b` sent is exactly the routing table the peer keeps for the
+  /// link. Holds only once no admin message is in flight; same result
+  /// shape as audit_data.
+  static std::vector<std::string> audit_peers(const Broker& b) {
+    std::vector<std::string> out;
+    for (const auto& [lid, link] : b.links_by_id_) {
+      const auto* peer = dynamic_cast<const Broker*>(&link->peer_of(b));
+      if (peer == nullptr) continue;
+      const ForwardSet table = peer->cover_index_.remote_table(lid);
+      const ForwardSet& sent = b.sent_.at(lid);
+      if (table != sent) {
+        std::ostringstream os;
+        os << where(b) << "sent toward broker" << peer->id_ << " on " << lid
+           << ": " << show(sent) << " vs its table " << show(table);
+        out.push_back(os.str());
+      }
+    }
+    return out;
+  }
+
  private:
+  /// Each broker link's routing table, in LinkId order (read off
+  /// CoverIndex's remote plane, the broker's only copy).
+  static std::map<LinkId, ForwardSet> tables(const Broker& b) {
+    std::map<LinkId, ForwardSet> out;
+    for (const auto& [lid, link] : b.links_by_id_) {
+      out.emplace(lid, b.cover_index_.remote_table(lid));
+    }
+    return out;
+  }
+
   template <typename T>
   static std::string show(const std::vector<T>& v) {
     std::ostringstream os;
@@ -114,7 +147,7 @@ struct PlaneReference {
   /// per link, local subscriptions, virtual counterparts.
   static MatchHits linear_collect(const Broker& b, const Notification& n) {
     MatchHits hits;
-    for (const auto& [lid, fs] : b.remote_) {
+    for (const auto& [lid, fs] : tables(b)) {
       if (std::any_of(fs.begin(), fs.end(),
                       [&](const auto& e) { return e.first.matches(n); })) {
         hits.links.push_back(lid);
@@ -165,8 +198,9 @@ struct PlaneReference {
   /// dispatch_fetch / on_fetch: the tagged-junction walk and the
   /// covering fallback walk over the remote tables.
   static void check_junctions(const Broker& b, std::vector<std::string>& out) {
+    const auto remote = tables(b);
     std::set<SubKey> keys;
-    for (const auto& [lid, fs] : b.remote_) {
+    for (const auto& [lid, fs] : remote) {
       for (const auto& [f, tags] : fs) keys.insert(tags.begin(), tags.end());
     }
     const auto filters = probe_filters(b);
@@ -174,7 +208,7 @@ struct PlaneReference {
     for (const LinkId ex : excludes(b)) {
       for (const SubKey& key : keys) {
         std::vector<LinkId> ref;
-        for (const auto& [lid, fs] : b.remote_) {
+        for (const auto& [lid, fs] : remote) {
           if (lid == ex) continue;
           if (std::any_of(fs.begin(), fs.end(), [&](const auto& e) {
                 return e.second.count(key) != 0;
@@ -192,7 +226,7 @@ struct PlaneReference {
       }
       for (const Filter& f : filters) {
         std::vector<LinkId> ref;
-        for (const auto& [lid, fs] : b.remote_) {
+        for (const auto& [lid, fs] : remote) {
           if (lid == ex) continue;
           if (std::any_of(fs.begin(), fs.end(), [&](const auto& e) {
                 return e.first.covers(f);
@@ -213,7 +247,7 @@ struct PlaneReference {
 
   /// begin_moveout: the keyed plan_moveout table walk.
   static void check_moveouts(const Broker& b, std::vector<std::string>& out) {
-    for (const auto& [lid, fs] : b.remote_) {
+    for (const auto& [lid, fs] : tables(b)) {
       std::set<SubKey> keys;
       for (const auto& [f, tags] : fs) keys.insert(tags.begin(), tags.end());
       for (const SubKey& key : keys) {
@@ -246,7 +280,7 @@ struct PlaneReference {
   static std::vector<ForwardInput> scanned_inputs(const Broker& b,
                                                   LinkId exclude) {
     std::vector<ForwardInput> inputs;
-    for (const auto& [lid, fs] : b.remote_) {
+    for (const auto& [lid, fs] : tables(b)) {
       if (lid == exclude) continue;
       for (const auto& [f, tags] : fs) inputs.push_back({f, tags});
     }
@@ -465,9 +499,11 @@ struct Coverage {
 };
 
 /// Steps the scenario phase by phase in 20 ms slices, auditing every
-/// broker at each slice and phase end until the first disagreement.
-inline Coverage step_and_audit(scenario::ScenarioBuilder& b,
-                               Plane plane) {
+/// broker at each slice and phase end until the first disagreement. A
+/// `quiescent` scenario (no admin message in flight at its end) also
+/// gets the peer-agreement audit at the end.
+inline Coverage step_and_audit(scenario::ScenarioBuilder& b, Plane plane,
+                               bool quiescent = false) {
   auto s = b.build();
   Coverage seen;
   std::size_t failures = 0;
@@ -489,13 +525,23 @@ inline Coverage step_and_audit(scenario::ScenarioBuilder& b,
   while (failures == 0 && s->run_next_phase(sim::millis(20), audit)) {
     audit();
   }
+  if (quiescent && failures == 0) {
+    for (std::size_t i = 0; i < s->overlay().broker_count(); ++i) {
+      for (const std::string& m :
+           PlaneReference::audit_peers(s->overlay().broker(i))) {
+        if (failures++ < 5) ADD_FAILURE() << m;
+      }
+    }
+  }
   EXPECT_EQ(failures, 0u);
   EXPECT_GT(seen.audits, 10u);
   EXPECT_FALSE(s->publications().empty());
   return seen;
 }
 
-/// Steps every example config at shards {0, 1, 4}, auditing `plane`.
+/// Steps every example config at shards {0, 1, 4}, auditing `plane`;
+/// the admin plane also gets the peer-agreement audit once each run
+/// has drained.
 inline void audit_example_configs(Plane plane) {
   const auto configs = example_configs();
   ASSERT_FALSE(configs.empty());
@@ -510,7 +556,8 @@ inline void audit_example_configs(Plane plane) {
       scenario::ScenarioBuilder b;
       spec.declare(b);
       b.seed(11).shards(shards);
-      const Coverage seen = step_and_audit(b, plane);
+      const Coverage seen =
+          step_and_audit(b, plane, /*quiescent=*/plane == Plane::admin);
       with_virtuals += seen.with_virtuals;
       with_pending_moveouts += seen.with_pending_moveouts;
     }
@@ -521,7 +568,8 @@ inline void audit_example_configs(Plane plane) {
 }
 
 /// Steps a hand-built scenario under every forwarding strategy, auditing
-/// `plane`.
+/// `plane`. No peer-agreement audit: the roamers are still relocating
+/// when the drain phase ends (re-expose acks in flight).
 inline void audit_aggregation_scenario(Plane plane) {
   // The example configs route by covering or flooding and hold no
   // location-dependent subscriptions; this scenario fills the gaps: every
